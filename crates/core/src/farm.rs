@@ -9,9 +9,14 @@
 //! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
 //! `ArCase` per escalated alarm — and a deterministic weighted round-robin
 //! scheduler drains them so an alarm-storming session cannot starve its
-//! quiet siblings. One run-wide [`SharedPageCache`] spans the fleet, so
-//! identical guest images decode once and every session's workers adopt the
-//! published blocks.
+//! quiet siblings. Each session gets its own [`SharedPageCache`]: its
+//! recorder, the `CrSpan` workers started from its seeds and the alarm
+//! replayers restored from their checkpoints share one page lineage and
+//! adopt each other's decodes. Each session builds its own guest memory, so
+//! no decode can cross from one session to another; one fleet-wide pool,
+//! keyed by page index alone, would only let concurrent sessions evict each
+//! other's entries, making every VM's decode and trace work depend on the
+//! interleaving.
 //!
 //! **Invariance:** a farm of N sessions produces per-session
 //! [`PipelineReport`]s byte-identical (via `to_json()`) to N serial
@@ -269,6 +274,9 @@ struct SessionPlan {
     ar_cfg: ReplayConfig,
     durable: Option<DurableLogConfig>,
     cadence: u64,
+    /// The session's own decoded-block pool, shared by its recorder, its
+    /// `CrSpan` workers and its alarm replayers (one page lineage).
+    shared: Arc<SharedPageCache>,
 }
 
 /// Where one session is in its record → replay → finalize → resolve life
@@ -338,7 +346,6 @@ struct FleetState<'s> {
 struct Fleet<'s> {
     sessions: &'s [SessionSpec],
     plans: Vec<SessionPlan>,
-    shared: Arc<SharedPageCache>,
     state: Mutex<FleetState<'s>>,
     cvar: Condvar,
     started: Instant,
@@ -358,7 +365,13 @@ impl<'s> Fleet<'s> {
                         .as_ref()
                         .map(|root| DurableLogConfig::new(root.join(format!("session-{s}"))))
                 });
-                SessionPlan { replay_cfg, ar_cfg, durable, cadence: farm_span_cadence(&spec.config) }
+                SessionPlan {
+                    replay_cfg,
+                    ar_cfg,
+                    durable,
+                    cadence: farm_span_cadence(&spec.config),
+                    shared: Arc::new(SharedPageCache::new()),
+                }
             })
             .collect();
         let lanes = sessions
@@ -376,7 +389,6 @@ impl<'s> Fleet<'s> {
         Fleet {
             sessions,
             plans,
-            shared: Arc::new(SharedPageCache::new()),
             state: Mutex::new(FleetState {
                 phases: (0..sessions.len()).map(|_| Phase::Recording).collect(),
                 sched,
@@ -435,7 +447,7 @@ impl<'s> Fleet<'s> {
                     let result = run_planned_span(
                         &self.sessions[s].vm,
                         &self.plans[s].replay_cfg,
-                        Some(&self.shared),
+                        Some(&self.plans[s].shared),
                         &jobs[k],
                     );
                     Executed::Span(k, Box::new(result))
@@ -486,7 +498,7 @@ impl<'s> Fleet<'s> {
         let spec = &self.sessions[s];
         let rc = record_config(&spec.config, Some(self.plans[s].cadence));
         let writer = durable_writer_for(self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
-        let rec = run_recorder_sequential(&spec.vm, rc, &self.shared, writer)?;
+        let rec = run_recorder_sequential(&spec.vm, rc, Some(&self.plans[s].shared), writer)?;
         if let Some(max) = spec.budget.log_bytes {
             let used = rec.log.total_bytes();
             if used > max {
@@ -512,7 +524,7 @@ impl<'s> Fleet<'s> {
         let par = assemble_spans(
             &spec.vm,
             &self.plans[s].replay_cfg,
-            Some(&self.shared),
+            Some(&self.plans[s].shared),
             rp.rec.log.records(),
             &rp.jobs,
             results,
@@ -550,7 +562,7 @@ impl<'s> Fleet<'s> {
             &spec.vm,
             Arc::clone(&rp.rec.log),
             self.plans[s].ar_cfg.clone(),
-            Arc::clone(&self.shared),
+            Arc::clone(&self.plans[s].shared),
             &spec.config.fault_plan,
         ));
         Ok(Box::new(FinalizeOut {

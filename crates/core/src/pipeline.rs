@@ -407,10 +407,12 @@ impl Pipeline {
         let cfg = &self.config;
         let rc = record_config(cfg, (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg)));
         let replay_cfg = replay_config(cfg);
-        // One read-mostly decoded-block pool for the whole run: the
-        // recorder, the CR (or its span workers), and every alarm replayer
-        // publish and adopt page decodes through it (wall-clock only; every
-        // consumer revalidates against its own page contents).
+        // One read-mostly decoded-block pool for the whole run. Only VMs of
+        // one page lineage can adopt each other's decodes: the CR and the
+        // alarm replayers restored from its checkpoints, or, with span
+        // replay, the recorder and the span workers started from its seeds
+        // (wall-clock only; every consumer revalidates against its own
+        // page contents).
         let shared = Arc::new(SharedPageCache::new());
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
@@ -507,8 +509,9 @@ impl Pipeline {
         shared: &Arc<SharedPageCache>,
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
         let writer = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)?;
-        let rec = run_recorder_sequential(&self.spec, rc, shared, writer)?;
-        if replay_cfg.parallel_spans > 0 {
+        let spans = replay_cfg.parallel_spans > 0;
+        let rec = run_recorder_sequential(&self.spec, rc, spans.then_some(shared), writer)?;
+        if spans {
             let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
             let par = replay_spans(&self.spec, feed, &replay_cfg, Some(rec.final_digest), Some(shared))?;
             if par.outcome.verified != Some(true) {
@@ -541,7 +544,6 @@ impl Pipeline {
         shared: &Arc<SharedPageCache>,
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
         let mut recorder = Recorder::new(&self.spec, rc)?;
-        recorder.attach_shared_cache(Arc::clone(shared));
         let (mut sink, stream) = log_channel_with(DEFAULT_BATCH, &self.config.fault_plan);
         if let Some(writer) = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)? {
             // Sink-side persistence: each pristine frame is written to disk
@@ -552,7 +554,9 @@ impl Pipeline {
         let (rec_result, cr_result) = if replay_cfg.parallel_spans > 0 {
             // Parallel CR: seeds stream from the recorder alongside the
             // records, and span workers launch as soon as both sides of a
-            // boundary have been observed.
+            // boundary have been observed. The workers start from the
+            // seeds' page `Arc`s, so the recorder's decodes serve them.
+            recorder.attach_shared_cache(Arc::clone(shared));
             let (seed_tx, seed_rx) = std::sync::mpsc::channel();
             recorder.seed_to(seed_tx);
             std::thread::scope(|scope| {
@@ -664,16 +668,20 @@ pub(crate) fn durable_writer_for(
 }
 
 /// Records to completion on the calling thread, with recorder panics caught
-/// and guest faults surfaced as structured errors. The shared cache and the
-/// optional durable writer are attached before the run.
+/// and guest faults surfaced as structured errors. The optional shared cache
+/// and durable writer are attached before the run. Pass a cache only when
+/// span workers will start from this recording's seeds: no other VM ever
+/// holds the recorder's page `Arc`s.
 pub(crate) fn run_recorder_sequential(
     spec: &VmSpec,
     rc: RecordConfig,
-    shared: &Arc<SharedPageCache>,
+    shared: Option<&Arc<SharedPageCache>>,
     writer: Option<DurableWriter>,
 ) -> Result<RecordOutcome, PipelineError> {
     let mut recorder = Recorder::new(spec, rc)?;
-    recorder.attach_shared_cache(Arc::clone(shared));
+    if let Some(shared) = shared {
+        recorder.attach_shared_cache(Arc::clone(shared));
+    }
     if let Some(writer) = writer {
         recorder.persist_to(writer);
     }

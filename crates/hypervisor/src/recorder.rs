@@ -455,9 +455,11 @@ impl Recorder {
         self.seed_tx = Some(tx);
     }
 
-    /// Attaches the run-wide shared decoded-block cache: pages this recorder
-    /// decodes become visible to the replayers of the same run and vice
-    /// versa. Wall-clock only; never affects the log, cycles, or digests.
+    /// Attaches a shared decoded-block cache. The recorder builds its own
+    /// guest memory, so only VMs started from its [`SpanSeed`]s hold its
+    /// page `Arc`s and can adopt what it publishes: attach a cache only
+    /// when span workers will replay from this recording's seeds.
+    /// Wall-clock only; never affects the log, cycles, or digests.
     pub fn attach_shared_cache(&mut self, shared: Arc<SharedPageCache>) {
         self.vm.attach_shared_cache(shared);
     }

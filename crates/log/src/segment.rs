@@ -408,7 +408,16 @@ fn rle_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The most output one RLE input byte can produce: a two-byte run token
+/// expands to 130 bytes.
+const RLE_MAX_EXPANSION: usize = 65;
+
 fn rle_decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, SegmentError> {
+    // The header's `raw_len` is only a claim: reject one the input could
+    // never expand to before reserving anything for it.
+    if raw_len > data.len().saturating_mul(RLE_MAX_EXPANSION) {
+        return Err(SegmentError::Compression);
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut i = 0;
     while i < data.len() {
@@ -542,7 +551,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment, SegmentError> {
     for _ in 0..frame_count {
         counts.push(get_varint(body, &mut pos)? as usize);
     }
-    if counts.iter().sum::<usize>() != record_count {
+    let total = counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+    if total != Some(record_count) {
         return Err(SegmentError::Malformed("frame index disagrees with record count".into()));
     }
     let mut ctx = DeltaCtx::default();
@@ -727,5 +737,15 @@ mod tests {
             let packed = rle_compress(&case);
             assert_eq!(rle_decompress(&packed, case.len()).unwrap(), case);
         }
+    }
+
+    #[test]
+    fn rle_expansion_bound_is_tight() {
+        // Longest runs are the densest encoding the decoder must accept.
+        let runs = vec![0xab; 130 * 4];
+        let packed = rle_compress(&runs);
+        assert_eq!(packed.len() * RLE_MAX_EXPANSION, runs.len());
+        assert_eq!(rle_decompress(&packed, runs.len()).unwrap(), runs);
+        assert!(matches!(rle_decompress(&packed, runs.len() + 1), Err(SegmentError::Compression)));
     }
 }

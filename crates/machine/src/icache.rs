@@ -689,8 +689,13 @@ impl BlockCache {
     }
 }
 
-/// A run-wide, read-mostly pool of decoded page caches shared between the
-/// recorder, the CR (or its span workers), and the alarm replayers.
+/// A run-wide, read-mostly pool of decoded page caches shared between VMs
+/// of one page lineage: the CR, the checkpoints it takes, and the alarm
+/// replayers restored from them; or the recorder, the span seeds it
+/// captures, and the span workers started from them. VMs that build their
+/// memory independently never hold pointer-equal pages, so they gain
+/// nothing from one pool and only evict each other's entries (the pool is
+/// keyed by page index alone).
 ///
 /// Each entry pairs a decoded `PageCache` with an `Arc` of the exact page
 /// bytes it was decoded from. That pairing is what makes the pool sound
@@ -766,8 +771,14 @@ impl BlockCache {
     /// identical bytes ⇒ identical decode). Published superblocks ride
     /// along when *every* constituent page passes the same identity check;
     /// their guards are re-stamped against the importer's own versions.
+    /// Only an absent or stale page imports: a current page already holds
+    /// every decode this VM made of these bytes, and the pool's copy (most
+    /// often this VM's own last publish) would only wipe its heat profile.
     /// Returns whether an entry was installed.
     pub fn import_from(&mut self, shared: &SharedPageCache, page: usize, mem: &Memory) -> bool {
+        if matches!(self.pages.get(page), Some(Some(c)) if c.version == mem.page_version(page)) {
+            return false;
+        }
         let Some(bytes) = mem.page_arc(page) else { return false };
         let entries = shared.entries.lock().expect("shared cache lock");
         let Some(entry) = entries.get(&page) else { return false };
@@ -794,9 +805,9 @@ impl BlockCache {
             self.pages.resize(page + 1, None);
         }
         // Keep pool entries whose body the pool would re-install anyway:
-        // repeated imports of a hot page then neither free nor re-stamp
-        // per trace, and the flush counter stays an invalidation count
-        // instead of an import-churn count.
+        // re-importing a hot page after a restore then neither frees nor
+        // re-stamps per trace, and the flush counter stays an invalidation
+        // count instead of an import-churn count.
         let mut old_heads = self.pages[page].take().and_then(|old| old.heads);
         for (slot, body) in traces {
             let reusable = old_heads.as_ref().map_or(0, |h| h[slot]);
@@ -938,6 +949,74 @@ mod tests {
         cache.insert_block(0x0, &[insn(2)], info, &mem);
         assert_eq!(cache.stats().flushes, 1);
         assert_eq!(cache.slot_insn(0, 0), insn(2));
+    }
+
+    /// A one-op superblock at `pc`, decoded from `mem`'s page.
+    fn one_op_trace(pc: Addr, mem: &Memory) -> Arc<TraceBody> {
+        let page = pc as usize / PAGE_SIZE;
+        let mut tp = TracePage::new(page, Arc::clone(mem.page_arc(page).expect("page in range")));
+        tp.mark_slot(pc as usize % PAGE_SIZE / 8);
+        let op = TraceOp { pc, insn: insn(1), step: TraceStep::Straight, expect: pc + 8 };
+        Arc::new(TraceBody {
+            ops: vec![op],
+            end_pc: pc + 8,
+            pages: vec![tp],
+            min_pc: pc,
+            max_pc: pc,
+            pcs: vec![(pc, 0)],
+        })
+    }
+
+    #[test]
+    fn import_into_a_current_page_is_refused() {
+        let mem = Memory::new(PAGE_SIZE);
+        let pool = SharedPageCache::new();
+        let mut cache = BlockCache::new();
+        let info = BlockInfo { len: 1, has_terminal: true, has_store: false };
+        cache.insert_block(0x0, &[insn(1)], info, &mem);
+        let body = one_op_trace(0x8, &mem);
+        assert!(cache.install_trace(0x8, Arc::clone(&body), &mem));
+        for _ in 0..3 {
+            cache.record_edge(0, 0, 0x40);
+        }
+        cache.publish_to(&pool, 0, &mem);
+        // The pool holds this very page's decode, but the local page cache
+        // is current: adopting the copy would add nothing and strip the
+        // heat profile.
+        assert!(!cache.import_from(&pool, 0, &mem));
+        assert_eq!(cache.stats().shared_imports, 0);
+        assert_eq!(cache.observed_succ(0, 0), Some(0x40), "edge profile survives");
+        assert_eq!(cache.record_edge(0, 0, 0x40), Some(4), "heat keeps counting");
+        let head = cache.trace_at(0x8, &mem).expect("trace head survives");
+        assert!(Arc::ptr_eq(&head, &body));
+    }
+
+    #[test]
+    fn restore_to_published_pages_imports_once() {
+        let mem = Memory::new(PAGE_SIZE);
+        let pool = SharedPageCache::new();
+        let mut publisher = BlockCache::new();
+        let info = BlockInfo { len: 2, has_terminal: true, has_store: false };
+        publisher.insert_block(0x10, &[insn(1), insn(2)], info, &mem);
+        publisher.publish_to(&pool, 0, &mem);
+
+        // A second VM of the same page lineage: its own memory, restored to
+        // the publisher's page `Arc`s, with a local decode that the restore
+        // made stale.
+        let mut restored = Memory::new(PAGE_SIZE);
+        let mut cache = BlockCache::new();
+        cache.insert_block(
+            0x0,
+            &[insn(3)],
+            BlockInfo { len: 1, has_terminal: true, has_store: false },
+            &restored,
+        );
+        restored.restore_pages(mem.snapshot_pages());
+        assert!(cache.import_from(&pool, 0, &restored));
+        assert_eq!(cache.block_info(0x10, &restored), Some(info));
+        assert_eq!(cache.slot_insn(0, 3), insn(2));
+        assert!(!cache.import_from(&pool, 0, &restored), "the adopted page is now current");
+        assert_eq!(cache.stats().shared_imports, 1);
     }
 
     #[test]

@@ -101,9 +101,10 @@ pub struct GuestVm {
     watch_addr: Option<Addr>,
     watch_hits: Vec<(Addr, u64, u64, u64)>,
     // Optional run-wide pool of decoded page caches (see
-    // `SharedPageCache`): blocks built here are published, and misses try
-    // to adopt a pool entry decoded from the identical page `Arc` before
-    // rebuilding. Wall-clock only — never touches guest state.
+    // `SharedPageCache`): blocks built here are published, and misses in
+    // an absent or stale page try to adopt a pool entry decoded from the
+    // identical page `Arc` before rebuilding. Wall-clock only — never
+    // touches guest state.
     shared_cache: Option<std::sync::Arc<crate::icache::SharedPageCache>>,
     // The Variable Record Table memory-safety detector (DESIGN.md §15).
     // Armed on recording VMs only; replay VMs take VRT alarms from the log.
@@ -144,9 +145,11 @@ impl GuestVm {
         }
     }
 
-    /// Attaches the run-wide shared decode/block cache. All VMs of one run
-    /// (recorder, CR span workers, alarm replayers) may share one pool; the
-    /// per-page `Arc` identity check makes every adopted entry exact.
+    /// Attaches a shared decode/block cache. Only VMs of one page lineage
+    /// gain from sharing a pool (the CR and the alarm replayers restored
+    /// from its checkpoints; the recorder and the span workers started
+    /// from its seeds); the per-page `Arc` identity check makes every
+    /// adopted entry exact.
     pub fn attach_shared_cache(&mut self, shared: std::sync::Arc<crate::icache::SharedPageCache>) {
         self.shared_cache = Some(shared);
     }
@@ -1063,11 +1066,12 @@ impl GuestVm {
         Some(info)
     }
 
-    /// Block lookup with a shared-pool fallback: on a local miss, try to
-    /// adopt the pool's decode of the page (valid only if it was decoded
-    /// from the identical page `Arc`) and retry. A successful import may
-    /// still miss — the publisher never decoded a block at this `pc` — in
-    /// which case the caller builds it, growing the adopted page cache.
+    /// Block lookup with a shared-pool fallback: on a local miss in an
+    /// absent or stale page, try to adopt the pool's decode of the page
+    /// (valid only if it was decoded from the identical page `Arc`) and
+    /// retry. A miss in a current page, or after a successful import (the
+    /// publisher never decoded a block at this `pc`), falls to the caller,
+    /// which builds the block into the page cache it already has.
     fn block_info_shared(&mut self, pc: Addr) -> Option<BlockInfo> {
         if let Some(info) = self.icache.block_info(pc, &self.mem) {
             return Some(info);

@@ -51,6 +51,12 @@ timed doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offli
 
 timed tests cargo test --workspace -q --offline
 
+# Benchmark gate: perfbench is a workspace of its own, so none of the gates
+# above compiles it. Build it and run its own tests, so a crate API change
+# cannot break the benchmark unnoticed.
+timed perfbench-build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+timed perfbench-tests cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Fault-matrix gate: run the attack pipeline under every seeded fault
 # scenario — transport, replay, and AR-supervisor faults, plus the durable
 # segment store's disk scenarios (torn write, bit rot, missing segment,

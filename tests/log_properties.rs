@@ -1,9 +1,13 @@
 //! Property tests on the input-log codec and the durable segment format.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use rnr_log::{
-    decode_frame, decode_segment, encode_frame, encode_segment, get_varint, put_varint, segment_from_json,
-    segment_to_json, unzigzag, zigzag, AlarmInfo, DmaSource, InputLog, Record, Segment, VrtAlarmInfo,
+    crc32, decode_frame, decode_segment, encode_frame, encode_segment, get_varint, put_varint,
+    segment_from_json, segment_to_json, unzigzag, zigzag, AlarmInfo, DmaSource, InputLog, Record, Segment,
+    SegmentError, VrtAlarmInfo, FORMAT_VERSION, SEGMENT_MAGIC,
 };
 use rnr_ras::{Mispredict, MispredictKind, ThreadId};
 use rnr_vrt::VrtKind;
@@ -282,4 +286,98 @@ fn golden_segment_fixtures_pin_format_v1() {
     let (from_json, compress) = segment_from_json(&golden_json).expect("committed fixture parses");
     assert_eq!(from_json, segment);
     assert_eq!(encode_segment(&from_json, compress), golden_bin);
+}
+
+/// The system allocator, plus a per-thread record of the largest single
+/// allocation requested, so hostile-input tests can check that a decoder
+/// reserves memory in proportion to its input, not to a header's claims.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+// Only `alloc` is wrapped: the trait's default `alloc_zeroed` and
+// `realloc` both go through it.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(layout.size())));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation this
+/// thread requested meanwhile.
+fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
+
+/// A segment whose CRC is valid but whose header fields and body are
+/// whatever a buggy or hostile encoder chose.
+fn hostile_segment(flags: u8, frame_count: u32, record_count: u32, raw_len: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = SEGMENT_MAGIC.to_vec();
+    out.push(FORMAT_VERSION);
+    out.push(flags);
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&frame_count.to_le_bytes());
+    out.extend_from_slice(&record_count.to_le_bytes());
+    out.extend_from_slice(&raw_len.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let mut covered = out.clone();
+    covered.extend_from_slice(body);
+    out.extend_from_slice(&crc32(&covered).to_le_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
+/// Frame counts whose sum overflows `usize` (and wraps to the declared
+/// record count) are a typed error, not an arithmetic panic.
+#[test]
+fn hostile_frame_counts_that_overflow_are_malformed() {
+    let mut body = Vec::new();
+    put_varint(&mut body, u64::MAX);
+    put_varint(&mut body, 2);
+    body.extend_from_slice(&[0; 8]);
+    let bytes = hostile_segment(0, 2, 1, body.len() as u32, &body);
+    assert!(matches!(decode_segment(&bytes), Err(SegmentError::Malformed(_))));
+}
+
+/// A compressed body that claims to expand to 4 GiB is refused before the
+/// decoder reserves anything near that.
+#[test]
+fn hostile_raw_length_is_refused_without_reserving_it() {
+    let body = [0x80, 0x00]; // one run token: three zero bytes
+    let bytes = hostile_segment(1, 0, 0, u32::MAX, &body);
+    let (result, peak) = peak_alloc(|| decode_segment(&bytes));
+    assert!(matches!(result, Err(SegmentError::Compression)));
+    assert!(peak < 4096, "decoder reserved {peak} bytes for a {}-byte segment", bytes.len());
+}
+
+proptest! {
+    /// Arbitrary header fields and body under a valid CRC: decoding never
+    /// panics, and no single allocation outgrows what the input can expand
+    /// to (RLE expands at most 65×; every decoded record costs at least
+    /// one body byte).
+    #[test]
+    fn hostile_segments_decode_to_typed_errors_with_bounded_allocation(
+        compressed in any::<bool>(),
+        frame_count in prop_oneof![0u32..8, any::<u32>()],
+        record_count in prop_oneof![0u32..16, any::<u32>()],
+        raw_len in prop_oneof![0u32..512, any::<u32>()],
+        body in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let bytes = hostile_segment(u8::from(compressed), frame_count, record_count, raw_len, &body);
+        let (_, peak) = peak_alloc(|| decode_segment(&bytes));
+        let bound = 4096 + bytes.len() * 65 * std::mem::size_of::<Record>();
+        prop_assert!(peak <= bound, "peak allocation {} exceeds {}", peak, bound);
+    }
 }

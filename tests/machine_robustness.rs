@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rnr_isa::{Assembler, Instruction, Opcode, Reg};
-use rnr_machine::{Exit, GuestVm, MachineConfig, RunBudget};
+use rnr_machine::{Exit, GuestVm, MachineConfig, RunBudget, SharedPageCache};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -167,4 +167,75 @@ fn kernel_text_is_fully_decodable() {
         count += 1;
     }
     assert!(count > 300, "kernel text should be substantial, got {count} instructions");
+}
+
+/// Two VMs of one page lineage on one shared pool: a leader built from the
+/// image and a trailer restored to the leader's page `Arc`s, run in
+/// interleaved slices. Each VM builds blocks into a page cache that is
+/// already current, so the pool serves only the trailer's first miss in the
+/// code page; neither VM re-adopts the pool's copy of a page it holds. The
+/// pool is wall-clock only: both VMs end exactly where a pool-less VM does.
+#[test]
+fn shared_pool_imports_only_into_absent_or_stale_pages() {
+    let image = {
+        let mut asm = Assembler::new(0x1000);
+        asm.movi(Reg::R1, 0);
+        asm.movi(Reg::R6, 300);
+        asm.label("loop");
+        asm.addi(Reg::R1, Reg::R1, 1);
+        asm.andi(Reg::R3, Reg::R1, 3);
+        asm.beq(Reg::R3, Reg::R0, "quad");
+        asm.addi(Reg::R2, Reg::R2, 7);
+        asm.jmp("next");
+        asm.label("quad");
+        asm.call("mix");
+        asm.label("next");
+        asm.bne(Reg::R1, Reg::R6, "loop");
+        asm.hlt();
+        asm.label("mix");
+        asm.xor(Reg::R2, Reg::R2, Reg::R1);
+        asm.ret();
+        asm.assemble().unwrap()
+    };
+    let start = |vm: &mut GuestVm| {
+        vm.set_entry(image.base());
+        vm.cpu_mut().set_sp(0x8000);
+    };
+    let mut alone = GuestVm::new(MachineConfig::default(), &[&image]);
+    start(&mut alone);
+    assert_eq!(alone.run(RunBudget::unbounded()), Exit::Halt);
+
+    let pool = std::sync::Arc::new(SharedPageCache::new());
+    let mut leader = GuestVm::new(MachineConfig::default(), &[&image]);
+    let mut trailer = GuestVm::new(MachineConfig::default(), &[]);
+    trailer.mem_mut().restore_pages(leader.mem().snapshot_pages());
+    for vm in [&mut leader, &mut trailer] {
+        start(vm);
+        vm.attach_shared_cache(std::sync::Arc::clone(&pool));
+    }
+    let mut target = 0;
+    let (mut leader_exit, mut trailer_exit) = (Exit::BudgetExhausted, Exit::BudgetExhausted);
+    while leader_exit == Exit::BudgetExhausted || trailer_exit == Exit::BudgetExhausted {
+        target += 7;
+        if leader_exit == Exit::BudgetExhausted {
+            leader_exit = leader.run(RunBudget::until(target));
+        }
+        if trailer_exit == Exit::BudgetExhausted {
+            trailer_exit = trailer.run(RunBudget::until(target));
+        }
+    }
+    assert_eq!((leader_exit, trailer_exit), (Exit::Halt, Exit::Halt));
+    assert_eq!(
+        leader.block_stats().shared_imports,
+        0,
+        "the leader's code page is never absent when it misses"
+    );
+    assert_eq!(trailer.block_stats().shared_imports, 1, "one import, into the trailer's absent code page");
+    assert!(alone.block_stats().trace_hits > 0, "the loop runs hot enough to form traces");
+    for vm in [&leader, &trailer] {
+        assert_eq!(
+            (vm.digest(), vm.cycles(), vm.retired()),
+            (alone.digest(), alone.cycles(), alone.retired())
+        );
+    }
 }
