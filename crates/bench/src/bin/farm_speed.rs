@@ -1,5 +1,6 @@
-//! Replay-farm fleet throughput: N concurrent sessions on the shared
-//! global worker pool vs the same N pipelines run serially (DESIGN.md §14).
+//! Replay-farm fleet throughput: N sessions run concurrently, one
+//! `Pipeline::run` per session slot, vs the same N pipelines run serially
+//! (DESIGN.md §14).
 //! Like `pipeline_speed`, this binary measures *host* time — every
 //! session's report is asserted byte-identical between the farm and its
 //! serial reference, which is what makes the wall-clock comparison fair.
@@ -12,7 +13,7 @@
 //! * per-session report identity between farm and serial runs (always);
 //! * fleet speedup ≥ 1.3x over serial on hosts with 4+ cores — on smaller
 //!   hosts that gate prints `gate skipped: <reason>` instead, since a
-//!   1-core pool cannot demonstrate cross-session parallelism.
+//!   small host cannot demonstrate cross-session parallelism.
 
 use std::time::Instant;
 
@@ -25,8 +26,8 @@ use rnr_safe::{Farm, FarmConfig, Pipeline, PipelineConfig, SessionSpec};
 use rnr_workloads::Workload;
 
 /// The measured fleet: one alarm-storming attack session beside five quiet
-/// workloads of assorted lengths, so the scheduler has genuinely uneven
-/// lanes to balance.
+/// workloads of assorted lengths, so the session slots carry genuinely
+/// uneven work.
 fn fleet_sessions() -> Vec<SessionSpec> {
     let quiet = |name: &str, workload: Workload, insns: u64| {
         let config = PipelineConfig { duration_insns: insns, ..PipelineConfig::default() };
@@ -157,7 +158,7 @@ fn check() {
         println!("check: fleet speedup {:.2}x >= 1.3x floor", bench.speedup);
     } else {
         println!(
-            "check: gate skipped: fleet speedup floor ({n} core(s) < 4; a shared pool this small cannot demonstrate cross-session parallelism)"
+            "check: gate skipped: fleet speedup floor ({n} core(s) < 4; a host this small cannot demonstrate cross-session parallelism)"
         );
     }
 }
@@ -171,7 +172,7 @@ fn main() {
 
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["sessions".into(), bench.sessions.to_string()]);
-    t.row(vec!["pool workers".into(), bench.workers.to_string()]);
+    t.row(vec!["session slots".into(), bench.workers.to_string()]);
     t.row(vec!["serial total".into(), format!("{:.1} ms", bench.serial_ms)]);
     t.row(vec!["farm total".into(), format!("{:.1} ms", bench.farm_ms)]);
     t.row(vec!["fleet speedup".into(), format!("{:.2}x", bench.speedup)]);

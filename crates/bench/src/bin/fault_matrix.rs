@@ -29,12 +29,12 @@
 //! unchanged.
 //!
 //! With `--farm`, the matrix instead runs every scenario as a replay-farm
-//! fleet (DESIGN.md §14): the faulted attack session shares the global
-//! worker pool with a quiet sibling, and the contract extends to
-//! *isolation* — the faulted session must still heal to the serial clean
-//! report, the sibling's report must stay byte-identical to its own clean
-//! reference with a quiet recovery block, and a session failing
-//! structurally (budget exhaustion) must not disturb the sibling either.
+//! fleet (DESIGN.md §14): the faulted attack session runs beside a quiet
+//! sibling, and the contract extends to *isolation* — the faulted session
+//! must still heal to the serial clean report, the sibling's report must
+//! stay byte-identical to its own clean reference with a quiet recovery
+//! block, and a session failing structurally (budget exhaustion) must not
+//! disturb the sibling either.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -257,19 +257,17 @@ fn durable_section(parallel_spans: usize, reference_json: &str) -> u32 {
     failures
 }
 
-/// The `--farm` matrix: every seeded scenario run as a two-session fleet on
-/// the shared pool — the faulted attack session beside a quiet sibling.
+/// The `--farm` matrix: every seeded scenario run as a two-session fleet —
+/// the faulted attack session beside a quiet sibling.
 ///
-/// The farm records sequentially and feeds span replay from the complete
-/// log, so the matrix's *transport* scenarios have no wire to damage: those
-/// plans are expected to be inert (report identical, recovery quiet). The
-/// replay/AR scenarios (CR and block-engine divergences, AR panics and
-/// transient divergences, the killed worker) fire exactly as in serial mode
-/// and must heal to the serial clean report with recovery activity — while
-/// the sibling's report stays byte-identical to its own clean reference
-/// with a quiet recovery block. Two more cases check structural isolation:
-/// a budget-exhausted session failing beside an untouched sibling, and a
-/// farm-owned durable root laying down one segment store per session.
+/// Each farm session is one streaming `Pipeline::run`, so every scenario —
+/// transport, replay and AR alike — fires exactly as in serial mode and
+/// must heal to the serial clean report with recovery activity and no
+/// unresolved case, while the sibling's report stays byte-identical to its
+/// own clean reference with a quiet recovery block. Two more cases check
+/// structural isolation: a budget-exhausted session failing beside an
+/// untouched sibling, and a farm-owned durable root laying down one
+/// segment store per session.
 fn farm_matrix() -> u32 {
     let mut failures = 0u32;
     let attack_reference =
@@ -310,9 +308,6 @@ fn farm_matrix() -> u32 {
     };
 
     for (name, plan) in fault_scenarios(SEED) {
-        // Transport faults need the streaming channel the farm never
-        // opens; those plans are inert here and the run must be clean.
-        let fires_in_farm = !plan.wants_transport_injection();
         let report = farm.run(&fleet(plan));
         check_quiet(name, &report, &mut failures);
         match &report.session("attack").expect("attack session present").result {
@@ -325,11 +320,8 @@ fn farm_matrix() -> u32 {
                 if r.to_json() != attack_reference {
                     bad.push("report differs from serial clean run");
                 }
-                if fires_in_farm && !r.recovery.any() {
+                if !r.recovery.any() {
                     bad.push("no recovery activity recorded (fault missed?)");
-                }
-                if !fires_in_farm && r.recovery.any() {
-                    bad.push("transport plan fired despite sequential recording");
                 }
                 if !r.recovery.failed_cases.is_empty() {
                     bad.push("alarm cases left unresolved");
@@ -337,9 +329,12 @@ fn farm_matrix() -> u32 {
                 if bad.is_empty() {
                     let rec = &r.recovery;
                     println!(
-                        "ok   {name}: {} rewinds={} ar_retries={} panics={} workers_lost={} block_fallbacks={}",
-                        if fires_in_farm { "healed," } else { "inert (no transport in farm mode)," },
+                        "ok   {name}: healed, rewinds={} refetched={} healed={} dup_dropped={} ar_retries={} \
+                         panics={} workers_lost={} block_fallbacks={}",
                         rec.cr_rewinds,
+                        rec.transport.batches_refetched,
+                        rec.transport.reorders_healed,
+                        rec.transport.duplicates_dropped,
                         rec.ar_case_retries,
                         rec.ar_panics_caught,
                         rec.ar_workers_lost,

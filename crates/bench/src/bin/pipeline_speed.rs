@@ -227,7 +227,6 @@ fn attack_configs() -> (PipelineConfig, PipelineConfig) {
         streaming: false,
         decode_cache: false,
         block_engine: false,
-        parallel_alarm_replay: false,
         ar_workers: 1,
         parallel_spans: 0,
         ..optimized.clone()

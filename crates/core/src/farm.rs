@@ -1,62 +1,40 @@
-//! The replay farm: many concurrent sessions on one shared worker pool
+//! The replay farm: many concurrent sessions, each one full pipeline
 //! (DESIGN.md §14).
 //!
 //! A [`Farm`] is a fleet manager. Each [`SessionSpec`] is one full RnR-Safe
-//! pipeline — record → checkpointing replay → alarm replay — but instead of
-//! every session privately owning recorder threads, span workers, and an AR
-//! pool, the farm multiplexes **one** global bounded pool (sized from the
-//! host's cores) across all of them. Session phases are decomposed into
-//! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
-//! `ArCase` per escalated alarm — and a deterministic weighted round-robin
-//! scheduler drains them so an alarm-storming session cannot starve its
-//! quiet siblings. Each session gets its own [`SharedPageCache`]: its
-//! recorder, the `CrSpan` workers started from its seeds and the alarm
-//! replayers restored from their checkpoints share one page lineage and
-//! adopt each other's decodes. Each session builds its own guest memory, so
-//! no decode can cross from one session to another; one fleet-wide pool,
-//! keyed by page index alone, would only let concurrent sessions evict each
-//! other's entries, making every VM's decode and trace work depend on the
-//! interleaving.
+//! pipeline — record → checkpointing replay → alarm replay — and the farm
+//! runs it through [`Pipeline::run`] itself: a bounded pool of
+//! [`FarmConfig::workers`] session slots, each slot taking the next
+//! session in submission order. A session keeps everything the pipeline
+//! gives it: its own recorder thread, CR, AR pool and `SharedPageCache`,
+//! and every [`PipelineConfig`] knob (`streaming`, `parallel_spans`,
+//! `ar_workers`, …). The farm adds only what a fleet needs: a per-session
+//! durable store under [`FarmConfig::durable_root`], a [`SessionBudget`]
+//! checked on the finished report, and panic isolation.
 //!
 //! **Invariance:** a farm of N sessions produces per-session
 //! [`PipelineReport`]s byte-identical (via `to_json()`) to N serial
-//! [`Pipeline`](crate::Pipeline) runs of the same specs, for every pool
-//! size, interleaving, and per-session knob corner. This falls out of the
-//! spine the farm is built on: recording is sequential (streaming is a
-//! wall-clock-only knob, and seed capture is pure reads), span replay folds
-//! index-keyed results in span order regardless of execution order, and
-//! alarm cases resolve into index-keyed slots — nothing the scheduler
-//! decides can reach a report. Failures are isolated the same way: a
-//! session that panics, exhausts a [`SessionBudget`], or trips its fault
-//! plan fails with a structured [`FarmError`] while its siblings' reports
-//! stay untouched.
+//! [`Pipeline`] runs of the same specs, for every pool size and
+//! interleaving — each session *is* one `Pipeline::run`, and sessions share
+//! no state. Failures are isolated the same way: a session that panics,
+//! exhausts a [`SessionBudget`], or fails its pipeline ends with a
+//! structured [`FarmError`] while its siblings' reports stay untouched.
 
 mod budget;
-mod scheduler;
 
 pub use budget::{BudgetKind, SessionBudget};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rnr_hypervisor::{RecordOutcome, VmSpec};
-use rnr_log::{DurableLogConfig, TransportStats};
-use rnr_machine::SharedPageCache;
-use rnr_replay::{
-    assemble_spans, plan_spans, pool, run_planned_span, AlarmCase, ReplayConfig, ReplayError, ReplayOutcome,
-    SpanDone, SpanJob,
-};
+use rnr_hypervisor::VmSpec;
+use rnr_log::DurableLogConfig;
 
-use crate::pipeline::{
-    ar_replay_config, durable_writer_for, finish_report, panic_text, record_config, replay_config,
-    run_recorder_sequential, ArStats, CaseResolver,
-};
-use crate::{AlarmResolution, FailedCase, PipelineConfig, PipelineError, PipelineReport};
-
-use scheduler::{LaneConfig, Scheduler, WorkItem, WorkKind};
+use crate::pipeline::panic_text;
+use crate::{Pipeline, PipelineConfig, PipelineError, PipelineReport};
 
 /// A fleet-unique session identifier (the session's position in the batch
 /// submitted to [`Farm::run`]).
@@ -70,7 +48,7 @@ impl fmt::Display for SessionId {
 }
 
 /// One session the farm will run: a workload spec, its pipeline
-/// configuration, a resource budget, and a scheduling weight.
+/// configuration, and a resource budget.
 #[derive(Debug)]
 pub struct SessionSpec {
     /// Caller-chosen session name (reported in [`SessionOutcome`]; need not
@@ -78,32 +56,27 @@ pub struct SessionSpec {
     pub name: String,
     /// The guest to record and replay.
     pub vm: VmSpec,
-    /// The session's pipeline knobs. The farm honours everything that can
-    /// reach the report (seed, duration, RAS capacity, checkpoint interval,
-    /// cost model, fault plan, …) and treats the wall-clock-only execution
-    /// knobs (`streaming`, `parallel_spans`, `ar_workers`) as satisfied by
-    /// the shared pool — the report is byte-identical either way.
+    /// The session's pipeline knobs, all honoured: the session runs through
+    /// [`Pipeline::run`] with exactly this configuration (plus the farm's
+    /// durable store when `durable_log` is unset).
     pub config: PipelineConfig,
     /// Resource limits; [`SessionBudget::unlimited`] by default.
     pub budget: SessionBudget,
-    /// Scheduler weight: dispatches granted per round-robin cycle (≥ 1).
-    /// Wall-clock only.
-    pub weight: u32,
 }
 
 impl SessionSpec {
-    /// A session named `name` over `vm` with an unlimited budget and
-    /// weight 1.
+    /// A session named `name` over `vm` with an unlimited budget.
     pub fn new(name: impl Into<String>, vm: VmSpec, config: PipelineConfig) -> SessionSpec {
-        SessionSpec { name: name.into(), vm, config, budget: SessionBudget::unlimited(), weight: 1 }
+        SessionSpec { name: name.into(), vm, config, budget: SessionBudget::unlimited() }
     }
 }
 
 /// Farm-wide configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FarmConfig {
-    /// Global pool size; `0` sizes it to the host's available parallelism.
-    /// Wall-clock only: reports are byte-identical for every pool size.
+    /// Sessions in flight at once; `0` sizes it to the host's available
+    /// parallelism. Wall-clock only: reports are byte-identical for every
+    /// value.
     pub workers: usize,
     /// Root directory for per-session durable stores. A session whose own
     /// `config.durable_log` is unset gets
@@ -123,21 +96,13 @@ pub enum FarmError {
         /// Which budget, with observed and permitted amounts.
         budget: BudgetKind,
     },
-    /// The scheduler had runnable work for this session but no clamp will
-    /// ever admit it (and nothing else was in flight to change that).
-    Starved {
-        /// The starved session.
-        session: SessionId,
-        /// Work items still queued when starvation was declared.
-        pending: usize,
-    },
     /// The session's own pipeline failed (recording setup, guest fault,
     /// replay divergence, failed verification).
     Pipeline(PipelineError),
-    /// A pooled worker panicked while executing this session's work; the
-    /// panic was caught and confined to the session.
+    /// The session's pipeline panicked; the panic was caught and confined
+    /// to the session.
     WorkerPanicked {
-        /// The session whose work item panicked.
+        /// The session that panicked.
         session: SessionId,
         /// Best-effort panic message.
         detail: String,
@@ -149,9 +114,6 @@ impl fmt::Display for FarmError {
         match self {
             FarmError::BudgetExceeded { session, budget } => {
                 write!(f, "session {session} exceeded its {budget}")
-            }
-            FarmError::Starved { session, pending } => {
-                write!(f, "session {session} starved with {pending} items queued and none admissible")
             }
             FarmError::Pipeline(e) => write!(f, "pipeline failed: {e}"),
             FarmError::WorkerPanicked { session, detail } => {
@@ -186,7 +148,7 @@ pub struct SessionOutcome {
     /// The session's report, or the structured reason it failed.
     pub result: Result<PipelineReport, FarmError>,
     /// Milliseconds from farm start to this session's completion
-    /// (scheduling latency included).
+    /// (time spent waiting for a session slot included).
     pub wall_ms: f64,
 }
 
@@ -213,7 +175,7 @@ impl FarmReport {
 }
 
 /// The fleet manager. Construct once, then [`Farm::run`] batches of
-/// sessions on the shared pool.
+/// sessions.
 #[derive(Debug, Clone, Default)]
 pub struct Farm {
     config: FarmConfig,
@@ -225,490 +187,61 @@ impl Farm {
         Farm { config }
     }
 
-    /// Runs every session to completion on the shared pool and returns all
-    /// outcomes. Never fails as a whole: per-session failures are carried
-    /// in each [`SessionOutcome::result`].
+    /// Runs every session to completion, at most [`FarmConfig::workers`]
+    /// at a time, and returns all outcomes. Never fails as a whole:
+    /// per-session failures are carried in each [`SessionOutcome::result`].
     pub fn run(&self, sessions: &[SessionSpec]) -> FarmReport {
         let started = Instant::now();
-        if sessions.is_empty() {
-            return FarmReport { sessions: Vec::new(), wall_ms: 0.0 };
-        }
-        let workers = match self.config.workers {
+        let slots = match self.config.workers {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             w => w,
         };
-        let fleet = Fleet::new(sessions, &self.config, started);
-        pool::drain(workers, &|| fleet.next_task());
-        let state = fleet.state.into_inner().expect("fleet lock");
-        let outcomes = state
-            .phases
-            .into_iter()
-            .zip(state.latencies)
-            .enumerate()
-            .map(|(s, (phase, wall_ms))| {
-                let id = SessionId(s as u32);
-                let result = match phase {
-                    Phase::Done(result) => *result,
-                    // Unreachable by construction (the pool only drains once
-                    // every session is Done), but never panic the report.
-                    _ => Err(FarmError::Starved { session: id, pending: 0 }),
-                };
-                SessionOutcome { id, name: sessions[s].name.clone(), result, wall_ms }
-            })
-            .collect();
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..slots.min(sessions.len()) {
+                let tx = tx.clone();
+                let next = &next;
+                scope.spawn(move || loop {
+                    let s = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = sessions.get(s) else { break };
+                    let id = SessionId(s as u32);
+                    let result = self.run_session(id, spec);
+                    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+                    // The receiver outlives the scope, so the send succeeds.
+                    let _ = tx.send(SessionOutcome { id, name: spec.name.clone(), result, wall_ms });
+                });
+            }
+        });
+        drop(tx);
+        let mut outcomes: Vec<SessionOutcome> = rx.into_iter().collect();
+        outcomes.sort_by_key(|o| o.id.0);
         FarmReport { sessions: outcomes, wall_ms: started.elapsed().as_secs_f64() * 1e3 }
     }
-}
 
-/// Farm span cadence: ~16 spans per session so the pool always has CR work
-/// to interleave, floored so tiny sessions don't drown in restore overhead.
-/// Wall-clock only — seed capture is pure reads and span count never
-/// reaches a report.
-fn farm_span_cadence(cfg: &PipelineConfig) -> u64 {
-    (cfg.duration_insns / 16).max(15_000)
-}
-
-/// Per-session configuration derived once at admission.
-struct SessionPlan {
-    replay_cfg: ReplayConfig,
-    ar_cfg: ReplayConfig,
-    durable: Option<DurableLogConfig>,
-    cadence: u64,
-    /// The session's own decoded-block pool, shared by its recorder, its
-    /// `CrSpan` workers and its alarm replayers (one page lineage).
-    shared: Arc<SharedPageCache>,
-}
-
-/// Where one session is in its record → replay → finalize → resolve life
-/// cycle. Holds the phase's index-keyed result slots; the borrow parameter
-/// is the fleet's borrow of the session specs (the resolver replays
-/// against a session's `VmSpec`).
-enum Phase<'s> {
-    /// Waiting for / executing its `Record` item.
-    Recording,
-    /// CR spans in flight.
-    Replaying(Box<ReplayPhase>),
-    /// Span results moved into a `Finalize` (or final report-assembly)
-    /// task; transient.
-    Finalizing,
-    /// Alarm cases in flight.
-    Resolving(Box<ResolvePhase<'s>>),
-    /// Terminal.
-    Done(Box<Result<PipelineReport, FarmError>>),
-}
-
-struct ReplayPhase {
-    rec: RecordOutcome,
-    jobs: Arc<Vec<SpanJob>>,
-    slots: Vec<Option<Result<SpanDone, ReplayError>>>,
-    remaining: usize,
-}
-
-struct ResolvePhase<'s> {
-    rec: RecordOutcome,
-    cr_out: ReplayOutcome,
-    cr_stats: rnr_machine::BlockStats,
-    resolver: Arc<CaseResolver<'s>>,
-    cases: Arc<Vec<AlarmCase>>,
-    slots: Vec<Option<Result<AlarmResolution, FailedCase>>>,
-    remaining: usize,
-    workers_lost: u64,
-}
-
-/// What `Finalize` hands back: everything the resolve phase needs.
-struct FinalizeOut<'s> {
-    rec: RecordOutcome,
-    cr_out: ReplayOutcome,
-    cr_stats: rnr_machine::BlockStats,
-    resolver: Arc<CaseResolver<'s>>,
-    workers_lost: u64,
-}
-
-/// A work item's result, computed OUTSIDE the fleet lock and applied under
-/// it.
-enum Executed<'s> {
-    Recorded(Box<Result<RecordOutcome, FarmError>>),
-    Span(usize, Box<Result<SpanDone, ReplayError>>),
-    Finalized(Result<Box<FinalizeOut<'s>>, FarmError>),
-    Resolved(usize, Result<AlarmResolution, FailedCase>),
-}
-
-struct FleetState<'s> {
-    phases: Vec<Phase<'s>>,
-    sched: Scheduler,
-    inflight: usize,
-    done: usize,
-    latencies: Vec<f64>,
-}
-
-/// The live fleet: immutable per-session plans plus the locked mutable
-/// state the pool workers coordinate through.
-struct Fleet<'s> {
-    sessions: &'s [SessionSpec],
-    plans: Vec<SessionPlan>,
-    state: Mutex<FleetState<'s>>,
-    cvar: Condvar,
-    started: Instant,
-}
-
-impl<'s> Fleet<'s> {
-    fn new(sessions: &'s [SessionSpec], config: &FarmConfig, started: Instant) -> Fleet<'s> {
-        let plans = sessions
-            .iter()
-            .enumerate()
-            .map(|(s, spec)| {
-                let replay_cfg = replay_config(&spec.config);
-                let ar_cfg = ar_replay_config(&replay_cfg);
-                let durable = spec.config.durable_log.clone().or_else(|| {
-                    config
-                        .durable_root
-                        .as_ref()
-                        .map(|root| DurableLogConfig::new(root.join(format!("session-{s}"))))
-                });
-                SessionPlan {
-                    replay_cfg,
-                    ar_cfg,
-                    durable,
-                    cadence: farm_span_cadence(&spec.config),
-                    shared: Arc::new(SharedPageCache::new()),
-                }
-            })
-            .collect();
-        let lanes = sessions
-            .iter()
-            .map(|spec| LaneConfig {
-                weight: spec.weight.max(1),
-                span_slots: spec.budget.span_slots.unwrap_or(usize::MAX),
-                ar_slots: spec.budget.ar_slots.unwrap_or(usize::MAX),
-            })
-            .collect();
-        let mut sched = Scheduler::new(lanes);
-        for s in 0..sessions.len() {
-            sched.enqueue(WorkItem { session: s, kind: WorkKind::Record, index: 0 });
+    /// One session: its pipeline under `catch_unwind`, then its budget
+    /// checked on the finished report.
+    fn run_session(&self, id: SessionId, spec: &SessionSpec) -> Result<PipelineReport, FarmError> {
+        let mut config = spec.config.clone();
+        if config.durable_log.is_none() {
+            config.durable_log = self
+                .config
+                .durable_root
+                .as_ref()
+                .map(|root| DurableLogConfig::new(root.join(format!("session-{}", id.0))));
         }
-        Fleet {
-            sessions,
-            plans,
-            state: Mutex::new(FleetState {
-                phases: (0..sessions.len()).map(|_| Phase::Recording).collect(),
-                sched,
-                inflight: 0,
-                done: 0,
-                latencies: vec![0.0; sessions.len()],
-            }),
-            cvar: Condvar::new(),
-            started,
-        }
-    }
-
-    fn id(&self, s: usize) -> SessionId {
-        SessionId(s as u32)
-    }
-
-    /// The pool's pull hook: the next task, blocking while other workers'
-    /// in-flight items might unlock more, `None` once the fleet is done.
-    fn next_task(&self) -> Option<pool::Task<'_>> {
-        let mut st = self.state.lock().expect("fleet lock");
-        loop {
-            if st.done == self.sessions.len() && st.inflight == 0 {
-                return None;
-            }
-            if let Some(item) = st.sched.next() {
-                st.inflight += 1;
-                return Some(self.build_task(&mut st, item));
-            }
-            if st.inflight == 0 {
-                // Queued work exists (some session is not Done) but nothing
-                // is admissible and nothing in flight can change that:
-                // structural starvation. Fail the stuck sessions instead of
-                // deadlocking the pool.
-                self.starve_incomplete(&mut st);
-                continue;
-            }
-            st = self.cvar.wait(st).expect("fleet lock");
-        }
-    }
-
-    /// Packages `item` as a pool task: a payload that runs OUTSIDE the
-    /// fleet lock (all the heavy guest re-execution), then a short
-    /// apply-under-lock epilogue. Panics in the payload are caught and
-    /// confined to the item's session.
-    fn build_task<'a>(&'a self, st: &mut FleetState<'s>, item: WorkItem) -> pool::Task<'a> {
-        let s = item.session;
-        let payload: Box<dyn FnOnce() -> Executed<'s> + Send + 'a> = match item.kind {
-            WorkKind::Record => Box::new(move || Executed::Recorded(Box::new(self.record_session(s)))),
-            WorkKind::CrSpan => {
-                let Phase::Replaying(rp) = &st.phases[s] else {
-                    unreachable!("span dispatched outside replay phase")
-                };
-                let jobs = Arc::clone(&rp.jobs);
-                let k = item.index;
-                Box::new(move || {
-                    let result = run_planned_span(
-                        &self.sessions[s].vm,
-                        &self.plans[s].replay_cfg,
-                        Some(&self.plans[s].shared),
-                        &jobs[k],
-                    );
-                    Executed::Span(k, Box::new(result))
-                })
-            }
-            WorkKind::Finalize => {
-                // Finalize owns the whole replay phase (its slots are
-                // complete); move it into the task.
-                let phase = std::mem::replace(&mut st.phases[s], Phase::Finalizing);
-                let Phase::Replaying(rp) = phase else {
-                    unreachable!("finalize dispatched outside replay phase")
-                };
-                Box::new(move || Executed::Finalized(self.finalize_session(s, *rp)))
-            }
-            WorkKind::ArCase => {
-                let Phase::Resolving(rs) = &st.phases[s] else {
-                    unreachable!("case dispatched outside resolve phase")
-                };
-                let resolver = Arc::clone(&rs.resolver);
-                let cases = Arc::clone(&rs.cases);
-                let i = item.index;
-                Box::new(move || Executed::Resolved(i, resolver.resolve(i, &cases[i])))
-            }
-        };
-        Box::new(move || {
-            let executed = catch_unwind(AssertUnwindSafe(payload));
-            let mut st = self.state.lock().expect("fleet lock");
-            st.sched.finished(&item);
-            match executed {
-                Ok(executed) => self.apply(&mut st, s, executed),
-                Err(payload) => {
-                    let err = FarmError::WorkerPanicked {
-                        session: self.id(s),
-                        detail: panic_text(payload.as_ref()),
-                    };
-                    self.finish(&mut st, s, Err(err));
-                }
-            }
-            st.inflight -= 1;
-            self.cvar.notify_all();
-        })
-    }
-
-    /// Record payload: sequential recording with the farm's span cadence,
-    /// the session's durable store, and the post-record log-byte budget
-    /// check.
-    fn record_session(&self, s: usize) -> Result<RecordOutcome, FarmError> {
-        let spec = &self.sessions[s];
-        let rc = record_config(&spec.config, Some(self.plans[s].cadence));
-        let writer = durable_writer_for(self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
-        let rec = run_recorder_sequential(&spec.vm, rc, Some(&self.plans[s].shared), writer)?;
-        if let Some(max) = spec.budget.log_bytes {
-            let used = rec.log.total_bytes();
-            if used > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::LogBytes { used, max },
-                });
-            }
-        }
-        Ok(rec)
-    }
-
-    /// Finalize payload: seam-check and fold the finished spans, verify the
-    /// final digest, apply the rewind and AR-case budgets, and build the
-    /// shared case resolver.
-    fn finalize_session(&self, s: usize, rp: ReplayPhase) -> Result<Box<FinalizeOut<'s>>, FarmError> {
-        // Borrow the spec through the fleet's `'s` sessions slice (not
-        // through `&self`): the resolver keeps it for the resolve phase.
-        let sessions: &'s [SessionSpec] = self.sessions;
-        let spec = &sessions[s];
-        let results: Vec<Result<SpanDone, ReplayError>> =
-            rp.slots.into_iter().map(|slot| slot.unwrap_or(Err(ReplayError::UnexpectedEndOfLog))).collect();
-        let par = assemble_spans(
-            &spec.vm,
-            &self.plans[s].replay_cfg,
-            Some(&self.plans[s].shared),
-            rp.rec.log.records(),
-            &rp.jobs,
-            results,
-            Some(rp.rec.final_digest),
-            TransportStats::default(),
-        )
-        .map_err(|e| FarmError::Pipeline(PipelineError::Replay(e)))?;
-        if par.outcome.verified != Some(true) {
-            return Err(FarmError::Pipeline(PipelineError::VerificationFailed));
-        }
-        if let Some(max) = spec.budget.rewind_quota {
-            let used = par.outcome.recovery.rewinds;
-            if used > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::Rewinds { used, max },
-                });
-            }
-        }
-        let cases = par.outcome.alarm_cases.len();
-        if let Some(max) = spec.budget.ar_slots {
-            if cases > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::ArSlots { needed: cases, max },
-                });
-            }
-        }
-        // The fault plan's worker-kill models the same way the serial
-        // pipeline's inline path does: the kill is recorded, the case is
-        // resolved anyway (here by whichever pool worker draws it).
-        let workers_lost =
-            u64::from(spec.config.fault_plan.kill_ar_worker_at_case.is_some_and(|k| k < cases));
-        let resolver = Arc::new(CaseResolver::new(
-            &spec.vm,
-            Arc::clone(&rp.rec.log),
-            self.plans[s].ar_cfg.clone(),
-            Arc::clone(&self.plans[s].shared),
-            &spec.config.fault_plan,
-        ));
-        Ok(Box::new(FinalizeOut {
-            rec: rp.rec,
-            cr_out: par.outcome,
-            cr_stats: par.block_stats,
-            resolver,
-            workers_lost,
-        }))
-    }
-
-    /// Applies a payload's result under the fleet lock: stores it in its
-    /// index-keyed slot and advances the session's phase when the slot set
-    /// completes. Results for already-terminated sessions are dropped.
-    fn apply(&self, st: &mut FleetState<'s>, s: usize, executed: Executed<'s>) {
-        if matches!(st.phases[s], Phase::Done(_)) {
-            return; // A straggler for a session that already failed.
-        }
-        match executed {
-            Executed::Recorded(recorded) => match *recorded {
-                Err(e) => self.finish(st, s, Err(e)),
-                Ok(rec) => {
-                    if self.sessions[s].budget.span_slots == Some(0) {
-                        // A zero span budget admits no replay work, ever;
-                        // fail fast instead of queueing items the clamp
-                        // will never release (structural starvation).
-                        let err = FarmError::BudgetExceeded {
-                            session: self.id(s),
-                            budget: BudgetKind::SpanSlots { max: 0 },
-                        };
-                        self.finish(st, s, Err(err));
-                        return;
-                    }
-                    let jobs =
-                        Arc::new(plan_spans(&rec.log, &rec.span_seeds, &self.sessions[s].config.fault_plan));
-                    let n = jobs.len();
-                    for k in 0..n {
-                        st.sched.enqueue(WorkItem { session: s, kind: WorkKind::CrSpan, index: k });
-                    }
-                    st.phases[s] = Phase::Replaying(Box::new(ReplayPhase {
-                        rec,
-                        jobs,
-                        slots: (0..n).map(|_| None).collect(),
-                        remaining: n,
-                    }));
-                }
-            },
-            Executed::Span(k, result) => {
-                let Phase::Replaying(rp) = &mut st.phases[s] else { return };
-                if rp.slots[k].is_none() {
-                    rp.remaining -= 1;
-                }
-                rp.slots[k] = Some(*result);
-                if rp.remaining == 0 {
-                    st.sched.enqueue(WorkItem { session: s, kind: WorkKind::Finalize, index: 0 });
-                }
-            }
-            Executed::Finalized(Err(e)) => self.finish(st, s, Err(e)),
-            Executed::Finalized(Ok(out)) => {
-                let fin = *out;
-                let cases = Arc::new(fin.cr_out.alarm_cases.clone());
-                let n = cases.len();
-                if n == 0 {
-                    let report = finish_report(
-                        self.sessions[s].vm.name.clone(),
-                        &self.sessions[s].config,
-                        &fin.rec,
-                        &fin.cr_out,
-                        fin.cr_stats,
-                        Vec::new(),
-                        ArStats { retries: 0, panics: 0, workers_lost: fin.workers_lost },
-                    );
-                    self.finish(st, s, Ok(report));
-                    return;
-                }
-                for i in 0..n {
-                    st.sched.enqueue(WorkItem { session: s, kind: WorkKind::ArCase, index: i });
-                }
-                st.phases[s] = Phase::Resolving(Box::new(ResolvePhase {
-                    rec: fin.rec,
-                    cr_out: fin.cr_out,
-                    cr_stats: fin.cr_stats,
-                    resolver: fin.resolver,
-                    cases,
-                    slots: (0..n).map(|_| None).collect(),
-                    remaining: n,
-                    workers_lost: fin.workers_lost,
-                }));
-            }
-            Executed::Resolved(i, result) => {
-                let Phase::Resolving(rs) = &mut st.phases[s] else { return };
-                if rs.slots[i].is_none() {
-                    rs.remaining -= 1;
-                }
-                rs.slots[i] = Some(result);
-                if rs.remaining > 0 {
-                    return;
-                }
-                let phase = std::mem::replace(&mut st.phases[s], Phase::Finalizing);
-                let Phase::Resolving(rs) = phase else { unreachable!("checked above") };
-                let outcomes: Vec<Result<AlarmResolution, FailedCase>> =
-                    rs.slots.into_iter().map(|slot| slot.expect("every case resolved")).collect();
-                let (retries, panics) = rs.resolver.counters();
-                let report = finish_report(
-                    self.sessions[s].vm.name.clone(),
-                    &self.sessions[s].config,
-                    &rs.rec,
-                    &rs.cr_out,
-                    rs.cr_stats,
-                    outcomes,
-                    ArStats { retries, panics, workers_lost: rs.workers_lost },
-                );
-                self.finish(st, s, Ok(report));
-            }
-        }
-    }
-
-    /// Terminates session `s` (idempotent): stamps its latency, drops its
-    /// queued work, and wakes the pool.
-    fn finish(&self, st: &mut FleetState<'s>, s: usize, result: Result<PipelineReport, FarmError>) {
-        if matches!(st.phases[s], Phase::Done(_)) {
-            return;
-        }
-        st.phases[s] = Phase::Done(Box::new(result));
-        st.latencies[s] = self.started.elapsed().as_secs_f64() * 1e3;
-        st.done += 1;
-        st.sched.clear_session(s);
-    }
-
-    /// Fails every incomplete session as starved (no admissible work, none
-    /// in flight).
-    fn starve_incomplete(&self, st: &mut FleetState<'s>) {
-        for s in 0..self.sessions.len() {
-            if !matches!(st.phases[s], Phase::Done(_)) {
-                let pending = st.sched.pending(s);
-                let err = FarmError::Starved { session: self.id(s), pending };
-                self.finish(st, s, Err(err));
-            }
-        }
+        let report =
+            catch_unwind(AssertUnwindSafe(|| Pipeline::new(spec.vm.clone(), config).run())).map_err(
+                |payload| FarmError::WorkerPanicked { session: id, detail: panic_text(payload.as_ref()) },
+            )??;
+        spec.budget.check(&report).map_err(|budget| FarmError::BudgetExceeded { session: id, budget })?;
+        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pipeline;
     use rnr_attacks::mount_kernel_rop;
     use rnr_log::FaultPlan;
     use rnr_workloads::{Workload, WorkloadParams};
@@ -768,17 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_span_slot_budget_fails_fast() {
-        let mut capped = quick("capped", Workload::Make, 120_000);
-        capped.budget.span_slots = Some(0);
-        let report = Farm::new(FarmConfig::default()).run(&[capped]);
-        match &report.sessions[0].result {
-            Err(FarmError::BudgetExceeded { budget: BudgetKind::SpanSlots { max: 0 }, .. }) => {}
-            other => panic!("expected span-slot budget failure, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn rewind_quota_fails_recovering_session() {
         let mut capped = quick("capped", Workload::Mysql, 150_000);
         capped.config.fault_plan = FaultPlan { cr_divergence_at_insn: Some(60_000), ..FaultPlan::default() };
@@ -820,7 +342,5 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("s3"), "{text}");
         assert!(text.contains("log-byte"), "{text}");
-        let starved = FarmError::Starved { session: SessionId(1), pending: 4 };
-        assert!(starved.to_string().contains("s1"));
     }
 }

@@ -2,34 +2,29 @@
 
 use std::fmt;
 
-/// Resource limits one fleet session may consume. Every limit is optional;
-/// `None` means unbounded. Budgets are *admission* controls: slot budgets
-/// cap how much of the shared pool a session may occupy at once
-/// (backpressure — the session just proceeds more slowly), while quota
-/// budgets (`log_bytes`, `rewind_quota`, the `ar_slots` case count) fail
-/// the session with a structured [`BudgetKind`] when exceeded, without
-/// disturbing its siblings.
+use crate::PipelineReport;
+
+/// Resource quotas one fleet session may consume. Every limit is optional;
+/// `None` means unbounded. Each is checked on the session's finished
+/// report: a session over any quota fails with a structured
+/// [`BudgetKind`], without disturbing its siblings.
 ///
 /// Budgets never change a surviving session's report: they only decide
-/// whether and how fast a session runs, both of which are wall-clock
-/// matters outside `PipelineReport::to_json()`.
+/// whether a session's report is delivered.
 #[derive(Debug, Clone, Default)]
 pub struct SessionBudget {
-    /// Maximum input-log size the recording may produce, in bytes. Checked
-    /// when recording completes; an oversized session fails with
-    /// [`BudgetKind::LogBytes`] before any replay work is admitted.
+    /// Maximum input-log size the recording may produce, in bytes
+    /// (`record.log_bytes`); an oversized session fails with
+    /// [`BudgetKind::LogBytes`].
     pub log_bytes: Option<u64>,
-    /// Maximum alarm cases the session may escalate, and simultaneously the
-    /// cap on its concurrently running alarm replayers. A session whose CR
-    /// escalates more cases than this fails with [`BudgetKind::ArSlots`].
+    /// Maximum alarm cases the session may escalate
+    /// (`replay.alarms_escalated`); a session over it fails with
+    /// [`BudgetKind::ArSlots`]. A surviving session therefore never had
+    /// more than this many alarm replayers running at once.
     pub ar_slots: Option<usize>,
-    /// Cap on the session's concurrently running CR span workers. Zero
-    /// admits no replay work at all: the session fails with
-    /// [`BudgetKind::SpanSlots`] instead of stalling silently.
-    pub span_slots: Option<usize>,
-    /// Maximum CR rewinds the session's recovery machinery may perform.
-    /// Checked after span replay; a session that needed more fails with
-    /// [`BudgetKind::Rewinds`] (its recovery was drowning the pool).
+    /// Maximum CR rewinds the session's recovery machinery may perform
+    /// (`recovery.cr_rewinds`); a session that needed more fails with
+    /// [`BudgetKind::Rewinds`].
     pub rewind_quota: Option<u64>,
 }
 
@@ -37,6 +32,30 @@ impl SessionBudget {
     /// An unbounded budget (every limit `None`).
     pub fn unlimited() -> SessionBudget {
         SessionBudget::default()
+    }
+
+    /// The first quota `report` exceeds, checked in the order log bytes,
+    /// rewinds, alarm cases.
+    pub(crate) fn check(&self, report: &PipelineReport) -> Result<(), BudgetKind> {
+        if let Some(max) = self.log_bytes {
+            let used = report.record.log_bytes;
+            if used > max {
+                return Err(BudgetKind::LogBytes { used, max });
+            }
+        }
+        if let Some(max) = self.rewind_quota {
+            let used = report.recovery.cr_rewinds;
+            if used > max {
+                return Err(BudgetKind::Rewinds { used, max });
+            }
+        }
+        if let Some(max) = self.ar_slots {
+            let needed = report.replay.alarms_escalated;
+            if needed > max {
+                return Err(BudgetKind::ArSlots { needed, max });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -58,11 +77,6 @@ pub enum BudgetKind {
         /// The configured limit.
         max: usize,
     },
-    /// [`SessionBudget::span_slots`] admits no span workers.
-    SpanSlots {
-        /// The configured limit.
-        max: usize,
-    },
     /// CR recovery rewound more than [`SessionBudget::rewind_quota`] allows.
     Rewinds {
         /// Rewinds recovery performed.
@@ -81,9 +95,6 @@ impl fmt::Display for BudgetKind {
             BudgetKind::ArSlots { needed, max } => {
                 write!(f, "alarm-replay slot budget (escalated {needed} cases, limit {max})")
             }
-            BudgetKind::SpanSlots { max } => {
-                write!(f, "span slot budget (limit {max} admits no replay workers)")
-            }
             BudgetKind::Rewinds { used, max } => {
                 write!(f, "rewind quota (recovery rewound {used} times, limit {max})")
             }
@@ -100,7 +111,6 @@ mod tests {
         let cases = [
             (BudgetKind::LogBytes { used: 9, max: 5 }, "log-byte"),
             (BudgetKind::ArSlots { needed: 3, max: 1 }, "alarm-replay"),
-            (BudgetKind::SpanSlots { max: 0 }, "span slot"),
             (BudgetKind::Rewinds { used: 2, max: 0 }, "rewind quota"),
         ];
         for (kind, needle) in cases {

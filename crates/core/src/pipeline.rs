@@ -39,12 +39,10 @@ pub struct PipelineConfig {
     /// Stall the recorded VM at the first alarm (§3's risk-tolerance knob)
     /// instead of letting it continue while the replayers investigate.
     pub stall_on_alarm: bool,
-    /// Resolve escalated alarms on parallel alarm replayers ("our design
-    /// allows running multiple ARs concurrently", §6).
-    pub parallel_alarm_replay: bool,
-    /// Alarm-replayer pool size when `parallel_alarm_replay` is set; `0`
-    /// sizes the pool to the host's available parallelism. Resolution order
-    /// (and therefore the report) is deterministic for any pool size.
+    /// Alarm-replayer pool size ("our design allows running multiple ARs
+    /// concurrently", §6): `1` resolves every case inline, `0` sizes the
+    /// pool to the host's available parallelism. Resolution order (and
+    /// therefore the report) is deterministic for any pool size.
     pub ar_workers: usize,
     /// Run the CR concurrently with the recorder, consuming the input log
     /// as a live stream (the paper's deployment: recording and replay
@@ -97,7 +95,6 @@ impl Default for PipelineConfig {
             retain: 8,
             costs: CostModel::default(),
             stall_on_alarm: false,
-            parallel_alarm_replay: true,
             ar_workers: 0,
             streaming: true,
             decode_cache: true,
@@ -405,7 +402,7 @@ impl Pipeline {
     /// failed final-state verification.
     pub fn run(&self) -> Result<PipelineReport, PipelineError> {
         let cfg = &self.config;
-        let rc = record_config(cfg, (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg)));
+        let rc = record_config(cfg);
         let replay_cfg = replay_config(cfg);
         // One read-mostly decoded-block pool for the whole run. Only VMs of
         // one page lineage can adopt each other's decodes: the CR and the
@@ -432,24 +429,22 @@ impl Pipeline {
             &self.spec,
             Arc::clone(&rec.log),
             ar_replay_config(&replay_cfg),
-            Arc::clone(&shared),
+            shared,
             &cfg.fault_plan,
         );
         let cases = &cr_out.alarm_cases;
         let workers = ar_worker_count(cfg, cases.len());
         let kill_at = cfg.fault_plan.kill_ar_worker_at_case;
-        let workers_lost = AtomicU64::new(0);
-        let mut slots: Vec<Option<Result<AlarmResolution, FailedCase>>> = if workers > 1 {
+        let (slots, workers_lost): (Vec<Option<Result<AlarmResolution, FailedCase>>>, u64) = if workers > 1 {
             let next = AtomicUsize::new(0);
             let killed = AtomicBool::new(false);
             let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
+            let slots = std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
                     let killed = &killed;
                     let resolver = &resolver;
-                    let workers_lost = &workers_lost;
                     scope.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(case) = cases.get(i) else { break };
@@ -457,7 +452,6 @@ impl Pipeline {
                         // up this case: it abandons the case unresolved
                         // and exits; the supervisor fills the hole below.
                         if kill_at == Some(i) && !killed.swap(true, Ordering::Relaxed) {
-                            workers_lost.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
                         if tx.send((i, resolver.resolve(i, case))).is_err() {
@@ -471,31 +465,70 @@ impl Pipeline {
                     slots[i] = Some(result);
                 }
                 slots
-            })
+            });
+            (slots, u64::from(killed.into_inner()))
         } else {
             // Inline resolution: the "pool" of one is the supervisor
             // itself, so a kill spec is recorded and the case resolved
             // immediately anyway.
-            if kill_at.is_some_and(|k| k < cases.len()) {
-                workers_lost.fetch_add(1, Ordering::Relaxed);
-            }
-            cases.iter().enumerate().map(|(i, case)| Some(resolver.resolve(i, case))).collect()
+            let resolved =
+                cases.iter().enumerate().map(|(i, case)| Some(resolver.resolve(i, case))).collect();
+            (resolved, u64::from(kill_at.is_some_and(|k| k < cases.len())))
         };
         // Cases abandoned by a killed worker are re-resolved inline — the
         // report never silently drops a verdict.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(resolver.resolve(i, &cases[i]));
+        let mut resolutions = Vec::with_capacity(cases.len());
+        let mut failed_cases = Vec::new();
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot.unwrap_or_else(|| resolver.resolve(i, &cases[i])) {
+                Ok(resolution) => resolutions.push(resolution),
+                Err(failed) => failed_cases.push(failed),
             }
         }
-        let outcomes: Vec<Result<AlarmResolution, FailedCase>> = slots.into_iter().flatten().collect();
-        let (ar_retries, ar_panics) = resolver.counters();
-        let ar = ArStats {
-            retries: ar_retries,
-            panics: ar_panics,
-            workers_lost: workers_lost.load(Ordering::Relaxed),
+        let detection = detection_window(cfg, &rec, &resolutions);
+        let mut block_stats = rec.block_stats;
+        block_stats.merge(&cr_block_stats);
+        for r in &resolutions {
+            block_stats.merge(&r.ar_block_stats);
+        }
+        let recovery = RecoveryReport {
+            cr_rewinds: cr_out.recovery.rewinds,
+            cr_rewound_insns: cr_out.recovery.rewound_insns,
+            block_fallback_spans: cr_out.recovery.block_fallback_spans,
+            transport: cr_out.recovery.transport,
+            rewind_trail: cr_out.recovery.trail.clone(),
+            ar_case_retries: resolver.retries.load(Ordering::Relaxed),
+            ar_panics_caught: resolver.panics.load(Ordering::Relaxed),
+            ar_workers_lost: workers_lost,
+            failed_cases,
         };
-        Ok(finish_report(self.spec.name.clone(), cfg, &rec, &cr_out, cr_block_stats, outcomes, ar))
+        Ok(PipelineReport {
+            record: RecordSummary {
+                workload: self.spec.name.clone(),
+                cycles: rec.cycles,
+                retired: rec.retired,
+                alarms: rec.alarms,
+                log_bytes: rec.log.total_bytes(),
+                network_log_bytes: rec.log.bytes_for(Category::Network),
+                backras_bytes: rec.ras_counters.backras_bytes(),
+                context_switches: rec.context_switches,
+                stalled: rec.stalled,
+                priv_flag: rec.priv_flag,
+            },
+            replay: ReplaySummary {
+                cycles: cr_out.cycles,
+                verified: cr_out.verified == Some(true),
+                checkpoints_taken: cr_out.checkpoints_taken,
+                checkpoints_live_max: cr_out.checkpoints_live_max,
+                alarms_seen: cr_out.alarms_seen,
+                underflows_cancelled: cr_out.underflows_cancelled,
+                alarms_escalated: cases.len(),
+            },
+            resolutions,
+            detection,
+            block_stats,
+            recovery,
+        })
     }
 
     /// Phases 1 + 2, sequential: record to completion, then replay the
@@ -508,9 +541,23 @@ impl Pipeline {
         replay_cfg: ReplayConfig,
         shared: &Arc<SharedPageCache>,
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
-        let writer = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)?;
         let spans = replay_cfg.parallel_spans > 0;
-        let rec = run_recorder_sequential(&self.spec, rc, spans.then_some(shared), writer)?;
+        let mut recorder = Recorder::new(&self.spec, rc)?;
+        if spans {
+            // Span workers start from this recording's seeds; with a serial
+            // CR no other VM ever holds the recorder's page `Arc`s.
+            recorder.attach_shared_cache(Arc::clone(shared));
+        }
+        if let Some(writer) = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)? {
+            recorder.persist_to(writer);
+        }
+        let rec = match catch_unwind(AssertUnwindSafe(move || recorder.run())) {
+            Ok(rec) => rec,
+            Err(payload) => return Err(PipelineError::RecorderPanicked(panic_text(payload.as_ref()))),
+        };
+        if let Some(fault) = rec.fault {
+            return Err(PipelineError::GuestFault(fault));
+        }
         if spans {
             let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
             let par = replay_spans(&self.spec, feed, &replay_cfg, Some(rec.final_digest), Some(shared))?;
@@ -602,10 +649,10 @@ impl Pipeline {
     }
 }
 
-/// The recorder configuration a [`PipelineConfig`] implies. `span_cadence`
-/// arms seed capture for parallel replay; seed capture is pure reads, so
-/// the recording is byte-identical whether or not it is set.
-pub(crate) fn record_config(cfg: &PipelineConfig, span_cadence: Option<u64>) -> RecordConfig {
+/// The recorder configuration a [`PipelineConfig`] implies. Span replay
+/// arms seed capture; seed capture is pure reads, so the recording is
+/// byte-identical either way.
+fn record_config(cfg: &PipelineConfig) -> RecordConfig {
     let mut rc = RecordConfig::new(RecordMode::Rec, cfg.seed, cfg.duration_insns);
     rc.ras_capacity = cfg.ras_capacity;
     rc.costs = cfg.costs;
@@ -613,7 +660,7 @@ pub(crate) fn record_config(cfg: &PipelineConfig, span_cadence: Option<u64>) -> 
     rc.decode_cache = cfg.decode_cache;
     rc.block_engine = cfg.block_engine;
     rc.superblocks = cfg.superblocks;
-    rc.span_seed_every_insns = span_cadence;
+    rc.span_seed_every_insns = (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg));
     rc.vrt = cfg.vrt.clone();
     rc
 }
@@ -622,7 +669,7 @@ pub(crate) fn record_config(cfg: &PipelineConfig, span_cadence: Option<u64>) -> 
 /// it retains recovery points and heals transport faults and transient
 /// divergences by rewinding to the last good checkpoint (recovery activity
 /// never changes the report — see [`RecoveryReport`]).
-pub(crate) fn replay_config(cfg: &PipelineConfig) -> ReplayConfig {
+fn replay_config(cfg: &PipelineConfig) -> ReplayConfig {
     ReplayConfig {
         checkpoint_interval: cfg.checkpoint_interval_secs.map(|s| (s * VIRTUAL_HZ as f64) as u64),
         retain: cfg.retain,
@@ -643,7 +690,7 @@ pub(crate) fn replay_config(cfg: &PipelineConfig) -> ReplayConfig {
 /// The alarm replayers' configuration, scrubbed from the CR's: the plan's
 /// injections target the CR and must not re-fire during alarm replay, and
 /// an AR surfaces divergence as evidence instead of healing it.
-pub(crate) fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
+fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
     ReplayConfig {
         resilient: false,
         fault_plan: FaultPlan::default(),
@@ -655,7 +702,7 @@ pub(crate) fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
 /// The fault-plan-aware durable segment writer when a `durable_log` knob is
 /// set: every record path persists through this, so the plan's disk faults
 /// hit the same sealed segments in any mode.
-pub(crate) fn durable_writer_for(
+fn durable_writer_for(
     durable: Option<&DurableLogConfig>,
     plan: &FaultPlan,
 ) -> Result<Option<DurableWriter>, PipelineError> {
@@ -667,42 +714,13 @@ pub(crate) fn durable_writer_for(
     }
 }
 
-/// Records to completion on the calling thread, with recorder panics caught
-/// and guest faults surfaced as structured errors. The optional shared cache
-/// and durable writer are attached before the run. Pass a cache only when
-/// span workers will start from this recording's seeds: no other VM ever
-/// holds the recorder's page `Arc`s.
-pub(crate) fn run_recorder_sequential(
-    spec: &VmSpec,
-    rc: RecordConfig,
-    shared: Option<&Arc<SharedPageCache>>,
-    writer: Option<DurableWriter>,
-) -> Result<RecordOutcome, PipelineError> {
-    let mut recorder = Recorder::new(spec, rc)?;
-    if let Some(shared) = shared {
-        recorder.attach_shared_cache(Arc::clone(shared));
-    }
-    if let Some(writer) = writer {
-        recorder.persist_to(writer);
-    }
-    let rec = match catch_unwind(AssertUnwindSafe(move || recorder.run())) {
-        Ok(rec) => rec,
-        Err(payload) => return Err(PipelineError::RecorderPanicked(panic_text(payload.as_ref()))),
-    };
-    if let Some(fault) = rec.fault {
-        return Err(PipelineError::GuestFault(fault));
-    }
-    Ok(rec)
-}
-
-/// The supervised per-case alarm resolver shared by [`Pipeline::run`] and
-/// the replay farm: one [`AlarmReplayer`] over the finished recording, a
-/// bounded retry loop per case under `catch_unwind`, and the fault plan's
-/// AR injections (panic, transient divergence) fired on first attempts
-/// only. Thread-safe: any number of workers may call
-/// [`CaseResolver::resolve`] concurrently; retry/panic accounting is
-/// atomic.
-pub(crate) struct CaseResolver<'a> {
+/// The supervised per-case alarm resolver of [`Pipeline::run`]: one
+/// [`AlarmReplayer`] over the finished recording, a bounded retry loop per
+/// case under `catch_unwind`, and the fault plan's AR injections (panic,
+/// transient divergence) fired on first attempts only. Thread-safe: any
+/// number of workers may call [`CaseResolver::resolve`] concurrently;
+/// retry/panic accounting is atomic.
+struct CaseResolver<'a> {
     ar: AlarmReplayer<'a>,
     panic_case: Option<usize>,
     divergence_case: Option<usize>,
@@ -713,7 +731,7 @@ pub(crate) struct CaseResolver<'a> {
 impl<'a> CaseResolver<'a> {
     /// A resolver over `log` with the scrubbed AR config (see
     /// [`ar_replay_config`]); `plan` supplies the AR-targeted injections.
-    pub(crate) fn new(
+    fn new(
         spec: &'a VmSpec,
         log: Arc<InputLog>,
         ar_cfg: ReplayConfig,
@@ -753,7 +771,7 @@ impl<'a> CaseResolver<'a> {
     /// Resolves case `i` with bounded retries; a case that stays
     /// unresolved ships as a [`FailedCase`] instead of discarding the rest
     /// of the report.
-    pub(crate) fn resolve(&self, i: usize, case: &AlarmCase) -> Result<AlarmResolution, FailedCase> {
+    fn resolve(&self, i: usize, case: &AlarmCase) -> Result<AlarmResolution, FailedCase> {
         let mut last_error = String::new();
         for attempt in 0..MAX_CASE_ATTEMPTS {
             if attempt > 0 {
@@ -775,85 +793,6 @@ impl<'a> CaseResolver<'a> {
             error: last_error,
         })
     }
-
-    /// (retries, panics) accounting so far.
-    pub(crate) fn counters(&self) -> (u64, u64) {
-        (self.retries.load(Ordering::Relaxed), self.panics.load(Ordering::Relaxed))
-    }
-}
-
-/// AR-phase recovery accounting for [`finish_report`].
-pub(crate) struct ArStats {
-    pub(crate) retries: u64,
-    pub(crate) panics: u64,
-    pub(crate) workers_lost: u64,
-}
-
-/// Assembles the final [`PipelineReport`] from the three phases' outputs.
-/// Shared by [`Pipeline::run`] and the replay farm so both produce
-/// byte-identical reports from identical phase results. `outcomes` must be
-/// in alarm-case order.
-pub(crate) fn finish_report(
-    workload: String,
-    cfg: &PipelineConfig,
-    rec: &RecordOutcome,
-    cr_out: &ReplayOutcome,
-    cr_block_stats: BlockStats,
-    outcomes: Vec<Result<AlarmResolution, FailedCase>>,
-    ar: ArStats,
-) -> PipelineReport {
-    let mut resolutions = Vec::with_capacity(outcomes.len());
-    let mut failed_cases = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(resolution) => resolutions.push(resolution),
-            Err(failed) => failed_cases.push(failed),
-        }
-    }
-    let detection = detection_window(cfg, rec, &resolutions);
-    let mut block_stats = rec.block_stats;
-    block_stats.merge(&cr_block_stats);
-    for r in &resolutions {
-        block_stats.merge(&r.ar_block_stats);
-    }
-    let recovery = RecoveryReport {
-        cr_rewinds: cr_out.recovery.rewinds,
-        cr_rewound_insns: cr_out.recovery.rewound_insns,
-        block_fallback_spans: cr_out.recovery.block_fallback_spans,
-        transport: cr_out.recovery.transport,
-        rewind_trail: cr_out.recovery.trail.clone(),
-        ar_case_retries: ar.retries,
-        ar_panics_caught: ar.panics,
-        ar_workers_lost: ar.workers_lost,
-        failed_cases,
-    };
-    PipelineReport {
-        record: RecordSummary {
-            workload,
-            cycles: rec.cycles,
-            retired: rec.retired,
-            alarms: rec.alarms,
-            log_bytes: rec.log.total_bytes(),
-            network_log_bytes: rec.log.bytes_for(Category::Network),
-            backras_bytes: rec.ras_counters.backras_bytes(),
-            context_switches: rec.context_switches,
-            stalled: rec.stalled,
-            priv_flag: rec.priv_flag,
-        },
-        replay: ReplaySummary {
-            cycles: cr_out.cycles,
-            verified: cr_out.verified == Some(true),
-            checkpoints_taken: cr_out.checkpoints_taken,
-            checkpoints_live_max: cr_out.checkpoints_live_max,
-            alarms_seen: cr_out.alarms_seen,
-            underflows_cancelled: cr_out.underflows_cancelled,
-            alarms_escalated: cr_out.alarm_cases.len(),
-        },
-        resolutions,
-        detection,
-        block_stats,
-        recovery,
-    }
 }
 
 /// Seed-capture cadence for parallel replay: aim for ~4 spans per worker so
@@ -865,19 +804,15 @@ fn span_seed_cadence(cfg: &PipelineConfig) -> u64 {
     (cfg.duration_insns / (workers * 4)).max(15_000)
 }
 
-/// Pool size for the alarm-replay phase: 1 unless parallel alarm replay is
-/// on, else the configured size (0 = the host's available parallelism),
-/// never more than there are cases.
+/// Pool size for the alarm-replay phase: the configured size (0 = the
+/// host's available parallelism), never more than there are cases.
 fn ar_worker_count(cfg: &PipelineConfig, cases: usize) -> usize {
-    if !cfg.parallel_alarm_replay || cases <= 1 {
-        return 1;
-    }
     let configured = if cfg.ar_workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         cfg.ar_workers
     };
-    configured.clamp(1, cases)
+    configured.min(cases).max(1)
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -157,8 +157,8 @@ pub struct JopCase {
 /// Which detector family raised an escalated alarm, with its payload.
 ///
 /// Both families share the escalation machinery end to end — checkpoints,
-/// the AR worker pool, span-parallel case collection, the farm's AR lane —
-/// so a case carries its detector-specific payload behind one type.
+/// the AR worker pool, span-parallel case collection — so a case carries
+/// its detector-specific payload behind one type.
 #[derive(Debug, Clone, Copy)]
 pub enum CaseKind {
     /// A RAS return misprediction — the ROP detector (§4.5).

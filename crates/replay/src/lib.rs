@@ -41,7 +41,6 @@ mod alarm;
 mod checkpoint;
 mod engine;
 mod parallel;
-pub mod pool;
 
 pub use alarm::{resolve_jop, JopVerdict};
 pub use alarm::{AlarmReplayer, FalsePositiveKind, GadgetUse, MemReport, RopReport, Verdict};
@@ -50,10 +49,7 @@ pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
     RewindStep,
 };
-pub use parallel::{
-    assemble_spans, plan_spans, replay_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanFeed,
-    SpanJob,
-};
+pub use parallel::{replay_spans, ParallelReplayOutcome, SpanFeed};
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint
 /// intervals in seconds (RepChk5/RepChk1/RepChk02); this constant maps them

@@ -35,7 +35,7 @@ use rnr_ras::{MispredictKind, ThreadId};
 
 use crate::engine::SpanRun;
 use crate::{
-    pool, AlarmCase, CaseKind, Checkpoint, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery,
+    AlarmCase, CaseKind, Checkpoint, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery,
     Replayer, RewindStep,
 };
 
@@ -100,13 +100,9 @@ impl JobSource {
 }
 
 /// One span's work order: everything a worker needs to replay one
-/// contiguous slice of the log independently. Opaque outside this crate —
-/// built by [`plan_spans`], executed by [`run_planned_span`], and folded
-/// back into a serial-identical outcome by [`assemble_spans`], which lets
-/// external schedulers (the replay farm) interleave spans from many
-/// recordings on one shared pool without touching engine internals.
+/// contiguous slice of the log independently, in any order, on any worker.
 #[derive(Debug, Clone)]
-pub struct SpanJob {
+struct SpanJob {
     index: usize,
     /// `None` for span 0 (fresh boot state), the preceding seed otherwise.
     seed: Option<SpanSeed>,
@@ -124,17 +120,9 @@ pub struct SpanJob {
     inject_block: Option<u64>,
 }
 
-impl SpanJob {
-    /// The span's position in record order (the key results are ordered by).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-}
-
 /// A finished span: its trace plus what recovery had to do to finish it.
-/// Opaque outside this crate; consumed by [`assemble_spans`].
 #[derive(Debug)]
-pub struct SpanDone {
+struct SpanDone {
     run: SpanRun,
     rewinds: u64,
     rewound_insns: u64,
@@ -247,32 +235,10 @@ pub fn replay_spans(
 }
 
 /// Cuts a finished recording into one [`SpanJob`] per seed interval.
-///
-/// Each job carries the shared log, its seam bounds, its landing-RNG
-/// pre-positioning, and whichever fault-plan injections fall inside it, so
-/// the jobs can be executed in any order, by any worker, on any pool.
-pub fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
+fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
     (0..=seeds.len())
         .map(|k| make_job(k, seeds, log.records(), plan, JobSource::Complete(Arc::clone(log))))
         .collect()
-}
-
-/// Replays one planned span to completion, retrying transient divergences
-/// in place exactly like the in-crate span workers (the span is its own
-/// rewind unit; recovery accounting lands in the returned [`SpanDone`]).
-///
-/// # Errors
-///
-/// The span's terminal replay failure after the bounded retries:
-/// [`ReplayError::Unrecoverable`] with the rewind trail when `cfg.resilient`
-/// is set, or the first raw fault when it is not.
-pub fn run_planned_span(
-    spec: &VmSpec,
-    cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
-    job: &SpanJob,
-) -> Result<SpanDone, ReplayError> {
-    run_one_span(spec, cfg, shared, job)
 }
 
 /// Executes a fixed job list on a bounded scoped pool, returning results in
@@ -287,16 +253,20 @@ fn run_jobs_pooled(
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<SpanDone, ReplayError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
-    let slots_ref = &slots;
-    pool::drain(workers.clamp(1, jobs.len().max(1)), &|| {
+    let work = || loop {
         let k = next.fetch_add(1, Ordering::Relaxed);
-        (k < jobs.len()).then(|| {
-            Box::new(move || {
-                let done = run_one_span(spec, cfg, shared, &jobs[k]);
-                *slots_ref[k].lock().expect("span result slot") = Some(done);
-            }) as pool::Task<'_>
-        })
-    });
+        let Some(job) = jobs.get(k) else { break };
+        let done = run_one_span(spec, cfg, shared, job);
+        *slots[k].lock().expect("span result slot") = Some(done);
+    };
+    match workers.clamp(1, jobs.len().max(1)) {
+        1 => work(),
+        n => std::thread::scope(|scope| {
+            for _ in 0..n {
+                scope.spawn(work);
+            }
+        }),
+    }
     slots
         .into_iter()
         .map(|m| m.into_inner().expect("span result slot").unwrap_or(Err(ReplayError::UnexpectedEndOfLog)))
@@ -319,7 +289,7 @@ fn run_jobs_pooled(
 /// completion order), a seam-digest [`ReplayError::Divergence`], or a
 /// checkpoint-materialization failure.
 #[allow(clippy::too_many_arguments)]
-pub fn assemble_spans(
+fn assemble_spans(
     spec: &VmSpec,
     cfg: &ReplayConfig,
     shared: Option<&Arc<SharedPageCache>>,

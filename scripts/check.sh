@@ -74,12 +74,12 @@ timed fault-matrix cargo run --release -q -p rnr-bench --bin fault_matrix --offl
 # scenario must heal to a report byte-identical to a clean parallel run.
 timed fault-matrix-par cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --parallel
 
-# Farm fault matrix: every seeded scenario as a two-session fleet on the
-# shared worker pool. Replay/AR faults must heal byte-identically beside an
-# undisturbed quiet sibling; transport scenarios must be inert (the farm
-# records sequentially — there is no wire); budget exhaustion must fail
-# its session with a typed error and leave the sibling untouched; a
-# farm-owned durable root must lay down one segment store per session.
+# Farm fault matrix: every seeded scenario as a two-session fleet. Each
+# session is one streaming pipeline, so transport, replay and AR faults
+# alike must heal byte-identically, with recovery recorded, beside an
+# undisturbed quiet sibling; budget exhaustion must fail its session with a
+# typed error and leave the sibling untouched; a farm-owned durable root
+# must lay down one segment store per session.
 timed fault-matrix-farm cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --farm
 
 # Perf gate: rerun the attack-pipeline comparison and fail if the reports

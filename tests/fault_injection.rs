@@ -360,11 +360,12 @@ fn durable_store_reopens_and_restores_after_every_damage_kind() {
     }
 }
 
-/// Fleet fault isolation: one session's fault plan — a CR divergence that
-/// forces a rewind, an AR panic, and disk damage under its farm-owned
-/// durable store — stays confined to that session. It heals to the serial
-/// clean report with recovery accounted, while the quiet sibling's report
-/// is byte-identical to its own clean reference with no recovery activity.
+/// Fleet fault isolation: one session's fault plan — a dropped transport
+/// frame whose refetch meets a bit-rotted segment of its durable store, a
+/// CR divergence that forces a rewind, and an AR panic — stays confined to
+/// that session. It heals to the serial clean report with recovery
+/// accounted, while the quiet sibling's report is byte-identical to its
+/// own clean reference with no recovery activity.
 #[test]
 fn farm_session_faults_and_rewinds_leave_siblings_untouched() {
     use rnr_safe::{Farm, FarmConfig, SessionSpec};
@@ -376,6 +377,11 @@ fn farm_session_faults_and_rewinds_leave_siblings_untouched() {
     let dir = TempDir::new("farm-isolation");
     let plan = FaultPlan {
         seed: SEED,
+        transport: vec![TransportFault {
+            seq: 1,
+            kind: TransportFaultKind::DropFrame,
+            poison_retained: false,
+        }],
         cr_divergence_at_insn: Some(240_000),
         ar_panic_case: Some(0),
         disk: vec![DiskFault { segment: 1, kind: DiskFaultKind::BitRot }],
@@ -403,6 +409,10 @@ fn farm_session_faults_and_rewinds_leave_siblings_untouched() {
         faulted.to_json(),
         attack_reference.to_json(),
         "the healed fleet session must match the serial clean report"
+    );
+    assert!(
+        faulted.recovery.transport.batches_refetched >= 1,
+        "the dropped frame must be refetched over the session's wire"
     );
     assert!(faulted.recovery.cr_rewinds >= 1, "the CR divergence must be recorded as a rewind");
     assert!(faulted.recovery.ar_panics_caught >= 1, "the AR panic must be caught and accounted");

@@ -64,8 +64,7 @@ fn attack_pipeline_equivalent_across_configs() {
     assert!(base.attacks_confirmed() >= 1);
     assert!(base.detection.is_some());
 
-    let sequential =
-        run(PipelineConfig { streaming: false, parallel_alarm_replay: false, ..base_cfg.clone() });
+    let sequential = run(PipelineConfig { streaming: false, ar_workers: 1, ..base_cfg.clone() });
     assert_eq!(base.to_json(), sequential.to_json(), "sequential record+replay diverged");
 
     let pooled = run(PipelineConfig { ar_workers: 4, ..base_cfg.clone() });
@@ -82,7 +81,7 @@ fn attack_pipeline_equivalent_across_configs() {
 
     let bare = run(PipelineConfig {
         streaming: false,
-        parallel_alarm_replay: false,
+        ar_workers: 1,
         decode_cache: false,
         block_engine: false,
         ..base_cfg
@@ -368,8 +367,8 @@ fn durable_store_is_byte_identical_across_streaming_and_sequential() {
 }
 
 /// A farm of N sessions is N serial pipelines: for every corner of
-/// (superblocks × farm-owned durable store × pool size), each session's
-/// report out of the shared-pool fleet is byte-identical to its own serial
+/// (superblocks × farm-owned durable store × session slots), each
+/// session's report out of the fleet is byte-identical to its own serial
 /// [`Pipeline`] run.
 #[test]
 fn replay_farm_matches_serial_across_corner_matrix() {
@@ -420,11 +419,10 @@ fn replay_farm_matches_serial_across_corner_matrix() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Adversarial interleaving: an alarm-storming attack session floods the
-/// shared pool with AR cases while a self-modifying JIT and a quiet build
-/// run beside it. The weighted round-robin scheduler keeps the siblings'
-/// work flowing, and every report — the attack's verdicts and detection
-/// window included — is byte-identical to its serial reference.
+/// Adversarial interleaving: an alarm-storming attack session escalates a
+/// stream of AR cases while a self-modifying JIT and a quiet build run
+/// beside it on a two-slot farm. Every report — the attack's verdicts and
+/// detection window included — is byte-identical to its serial reference.
 #[test]
 fn replay_farm_alarm_storm_does_not_disturb_siblings() {
     use rnr_safe::{Farm, FarmConfig, SessionSpec};

@@ -149,17 +149,17 @@ fn thread_id_reuse_is_clean() {
 #[test]
 fn parallel_alarm_replay_matches_sequential() {
     let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
-    let run = |parallel| {
+    let run = |ar_workers| {
         let cfg = PipelineConfig {
             duration_insns: 900_000,
             checkpoint_interval_secs: Some(0.125),
-            parallel_alarm_replay: parallel,
+            ar_workers,
             ..PipelineConfig::default()
         };
         Pipeline::new(spec.clone(), cfg).run().unwrap()
     };
-    let par = run(true);
-    let seq = run(false);
+    let par = run(0);
+    let seq = run(1);
     assert_eq!(par.resolutions.len(), seq.resolutions.len());
     assert_eq!(par.attacks_confirmed(), seq.attacks_confirmed());
     for (a, b) in par.resolutions.iter().zip(&seq.resolutions) {

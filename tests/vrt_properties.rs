@@ -234,12 +234,11 @@ fn heap_attack_zero_fn_across_engine_matrix() {
         let spans = run(PipelineConfig { parallel_spans: workers, ..vrt_cfg(600_000) });
         assert_eq!(base.to_json(), spans.to_json(), "span-parallel ({workers}) diverged");
     }
-    let sequential =
-        run(PipelineConfig { streaming: false, parallel_alarm_replay: false, ..vrt_cfg(600_000) });
+    let sequential = run(PipelineConfig { streaming: false, ar_workers: 1, ..vrt_cfg(600_000) });
     assert_eq!(base.to_json(), sequential.to_json(), "sequential feed diverged");
 }
 
-/// The farm lane: the overflow session convicts inside a shared-pool fleet
+/// The farm lane: the overflow session convicts inside a farm fleet
 /// exactly as it does serially, and the benign churn session beside it
 /// stays clean — both byte-identical to their serial references.
 #[test]
