@@ -19,12 +19,13 @@ use rnr_bench::{
     Table, BENCH_PIPELINE_PATH, SEED,
 };
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{replay_spans, AlarmReplayer, ReplayConfig, Replayer, SpanFeed, VIRTUAL_HZ};
+use rnr_replay::{replay_spans, AlarmReplayer, ReplayConfig, Replayer, VIRTUAL_HZ};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::WorkloadParams;
 
-/// Phase wall-clock for one workload, optimized configuration (sequential
-/// phases, so each is attributable).
+/// Phase wall-clock for one workload, optimized engines: record, then a
+/// CR over the finished log, then the ARs, one after another so each is
+/// attributable.
 #[derive(Debug, serde::Serialize)]
 struct PhaseTimes {
     workload: String,
@@ -224,7 +225,6 @@ fn attack_configs() -> (PipelineConfig, PipelineConfig) {
         ..PipelineConfig::default()
     };
     let baseline = PipelineConfig {
-        streaming: false,
         decode_cache: false,
         block_engine: false,
         ar_workers: 1,
@@ -305,10 +305,13 @@ struct CrParallelRow {
 fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow> {
     let (spec, _plan) =
         rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).expect("attack mounts");
-    let mut rc = RecordConfig::new(RecordMode::Rec, SEED, 5_000_000);
-    rc.span_seed_every_insns = Some(5_000_000 / 32);
-    let rec = Recorder::new(&spec, rc).expect("record mode matches kernel").run();
+    let mut recorder = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, SEED, 5_000_000))
+        .expect("record mode matches kernel");
+    let (seed_tx, seed_rx) = std::sync::mpsc::channel();
+    recorder.seed_to(seed_tx, 5_000_000 / 32);
+    let rec = recorder.run();
     assert!(rec.fault.is_none(), "guest fault {:?}", rec.fault);
+    let seeds: Vec<_> = seed_rx.try_iter().collect();
     let cfg = ReplayConfig {
         checkpoint_interval: Some((0.05 * VIRTUAL_HZ as f64) as u64),
         ..ReplayConfig::default()
@@ -327,10 +330,17 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
                 (out.cycles, out.checkpoints_taken)
             } else {
                 let pcfg = ReplayConfig { parallel_spans: workers, ..cfg.clone() };
-                let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-                let out = replay_spans(&spec, feed, &pcfg, Some(rec.final_digest), None)
-                    .expect("parallel CR replays")
-                    .outcome;
+                // The complete log plus a pre-filled seed channel: the
+                // same feed a live recording delivers, already finished.
+                let (tx, rx) = std::sync::mpsc::channel();
+                for seed in &seeds {
+                    tx.send(seed.clone()).expect("receiver is alive");
+                }
+                drop(tx);
+                let out =
+                    replay_spans(&spec, Arc::clone(&rec.log).into(), rx, &pcfg, Some(rec.final_digest), None)
+                        .expect("parallel CR replays")
+                        .outcome;
                 assert_eq!(out.verified, Some(true), "{workers}-worker digest mismatch");
                 (out.cycles, out.checkpoints_taken)
             };
@@ -365,7 +375,9 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
 /// trace-invalidation storm costs 30%+). On hosts with 4+ cores it
 /// additionally requires parallel span replay to verify at least 1.4x
 /// faster than the serial engine; on smaller hosts that gate is skipped
-/// with a note — a 1-core runner cannot demonstrate parallelism.
+/// with a note — a 1-core runner cannot demonstrate parallelism. It
+/// prints the committed file's `host.cores` beside this host's core count
+/// and says when they differ.
 fn check() {
     let committed: serde_json::Value = serde_json::from_str(
         &std::fs::read_to_string(BENCH_PIPELINE_PATH).expect("read committed BENCH_pipeline.json"),
@@ -375,6 +387,18 @@ fn check() {
         committed["attack"]["speedup"].as_f64().expect("committed attack.speedup present");
     let committed_sb =
         committed["attack"]["superblock_speedup"].as_f64().expect("committed superblock_speedup present");
+    // A committed figure taken on another core count measures a different
+    // optimized configuration (span and AR workers follow the cores), so
+    // the gate output says so beside the verdict.
+    let n = cores();
+    match committed["host"]["cores"].as_u64() {
+        Some(c) if c as usize == n => println!("check: host cores {n} (committed figures: {c} cores)"),
+        Some(c) => println!(
+            "check: host cores {n} differ from the committed figures' host ({c} cores); the speedups \
+             compare configurations sized for different hosts"
+        ),
+        None => println!("check: host cores {n} (committed file records no host.cores)"),
+    }
 
     let (attack, _) = attack_comparison(Estimator::Median(5));
     println!(
@@ -406,7 +430,6 @@ fn check() {
         std::process::exit(1);
     }
 
-    let n = cores();
     if n >= 4 {
         let workers = n.min(4);
         let rows = cr_sweep(&[0, workers], Estimator::Best(3));
@@ -464,7 +487,7 @@ fn main() {
 
     let mut t = Table::new(&["config", "wall ms", "speedup", "attacks", "window cycles"]);
     t.row(vec![
-        "baseline (no streaming, no caches, stepped, 1 AR)".into(),
+        "baseline (stepped, no caches, 1 AR)".into(),
         format!("{:.1}", attack.baseline_ms),
         "1.00x".into(),
         attack.attacks_confirmed.to_string(),
@@ -478,7 +501,7 @@ fn main() {
         attack.window_cycles.map_or("-".into(), |w| w.to_string()),
     ]);
     t.row(vec![
-        "optimized (streaming + superblocks + AR pool)".into(),
+        "optimized (superblocks + span replay + AR pool)".into(),
         format!("{:.1}", attack.optimized_ms),
         format!("{:.2}x", attack.speedup),
         attack.attacks_confirmed.to_string(),

@@ -7,7 +7,7 @@
 //! [`FarmConfig::workers`] session slots, each slot taking the next
 //! session in submission order. A session keeps everything the pipeline
 //! gives it: its own recorder thread, CR, AR pool and `SharedPageCache`,
-//! and every [`PipelineConfig`] knob (`streaming`, `parallel_spans`,
+//! and every [`PipelineConfig`] knob (`parallel_spans`, `superblocks`,
 //! `ar_workers`, …). The farm adds only what a fleet needs: a per-session
 //! durable store under [`FarmConfig::durable_root`], a [`SessionBudget`]
 //! checked on the finished report, and panic isolation.

@@ -12,8 +12,8 @@ use rnr_log::{
 use rnr_machine::{BlockStats, CostModel, SharedPageCache};
 use rnr_ras::RasConfig;
 use rnr_replay::{
-    replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer, SpanFeed,
-    Verdict, VIRTUAL_HZ,
+    replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer, Verdict,
+    VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -44,11 +44,6 @@ pub struct PipelineConfig {
     /// pool to the host's available parallelism. Resolution order (and
     /// therefore the report) is deterministic for any pool size.
     pub ar_workers: usize,
-    /// Run the CR concurrently with the recorder, consuming the input log
-    /// as a live stream (the paper's deployment: recording and replay
-    /// proceed in parallel on separate machines, §4). `false` records to
-    /// completion first — the result is identical either way.
-    pub streaming: bool,
     /// Use the predecoded instruction cache in the recorder and all
     /// replayers (wall-clock optimization; virtual cycles, digests, and
     /// verdicts are identical either way).
@@ -96,7 +91,6 @@ impl Default for PipelineConfig {
             costs: CostModel::default(),
             stall_on_alarm: false,
             ar_workers: 0,
-            streaming: true,
             decode_cache: true,
             block_engine: true,
             superblocks: true,
@@ -394,7 +388,10 @@ impl Pipeline {
         Pipeline { spec, config }
     }
 
-    /// Records, replays with verification, and resolves every alarm.
+    /// Records, replays with verification, and resolves every alarm. The
+    /// recorder runs on its own thread while the CR consumes its log as a
+    /// live stream (the paper's deployment: recording and replay proceed
+    /// in parallel on separate machines, §4).
     ///
     /// # Errors
     ///
@@ -411,14 +408,9 @@ impl Pipeline {
         // (wall-clock only; every consumer revalidates against its own
         // page contents).
         let shared = Arc::new(SharedPageCache::new());
-        // Phases 1 + 2: monitored recording and checkpointing replay —
-        // concurrent (the CR consumes the log as a live stream) or
-        // sequential, with identical results.
-        let (rec, cr_out, cr_block_stats) = if cfg.streaming {
-            self.record_and_replay_streaming(rc, replay_cfg.clone(), &shared)?
-        } else {
-            self.record_and_replay_sequential(rc, replay_cfg.clone(), &shared)?
-        };
+        // Phases 1 + 2: monitored recording and checkpointing replay, run
+        // concurrently (the CR consumes the log as a live stream).
+        let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, replay_cfg.clone(), &shared)?;
         // Phase 3: alarm replay for every escalated case — on a bounded,
         // supervised worker pool when configured ("multiple ARs… in
         // parallel", §6). Each case is resolved under `catch_unwind` with
@@ -531,52 +523,6 @@ impl Pipeline {
         })
     }
 
-    /// Phases 1 + 2, sequential: record to completion, then replay the
-    /// finished log with digest verification armed up front. Returns the
-    /// recording, the CR outcome, and the CR phase's block-cache counters
-    /// (summed across span workers when replay is parallel).
-    fn record_and_replay_sequential(
-        &self,
-        rc: RecordConfig,
-        replay_cfg: ReplayConfig,
-        shared: &Arc<SharedPageCache>,
-    ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
-        let spans = replay_cfg.parallel_spans > 0;
-        let mut recorder = Recorder::new(&self.spec, rc)?;
-        if spans {
-            // Span workers start from this recording's seeds; with a serial
-            // CR no other VM ever holds the recorder's page `Arc`s.
-            recorder.attach_shared_cache(Arc::clone(shared));
-        }
-        if let Some(writer) = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)? {
-            recorder.persist_to(writer);
-        }
-        let rec = match catch_unwind(AssertUnwindSafe(move || recorder.run())) {
-            Ok(rec) => rec,
-            Err(payload) => return Err(PipelineError::RecorderPanicked(panic_text(payload.as_ref()))),
-        };
-        if let Some(fault) = rec.fault {
-            return Err(PipelineError::GuestFault(fault));
-        }
-        if spans {
-            let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-            let par = replay_spans(&self.spec, feed, &replay_cfg, Some(rec.final_digest), Some(shared))?;
-            if par.outcome.verified != Some(true) {
-                return Err(PipelineError::VerificationFailed);
-            }
-            return Ok((rec, par.outcome, par.block_stats));
-        }
-        let mut cr = Replayer::new(&self.spec, Arc::clone(&rec.log), replay_cfg);
-        cr.attach_shared_cache(Arc::clone(shared));
-        cr.verify_against(rec.final_digest);
-        let cr_out = cr.run()?;
-        if cr_out.verified != Some(true) {
-            return Err(PipelineError::VerificationFailed);
-        }
-        let stats = cr_out.vm().block_stats();
-        Ok((rec, cr_out, stats))
-    }
-
     /// Phases 1 + 2, concurrent: the recorder publishes each record to a
     /// live stream as it is logged, and the CR consumes the stream on this
     /// thread, trailing the recording (§4: recording and replay proceed in
@@ -584,7 +530,7 @@ impl Pipeline {
     /// verification happens after the join; a guest fault while recording
     /// takes precedence over whatever truncated-log error it induced in
     /// the CR.
-    fn record_and_replay_streaming(
+    fn record_and_replay(
         &self,
         rc: RecordConfig,
         replay_cfg: ReplayConfig,
@@ -592,44 +538,47 @@ impl Pipeline {
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
         let mut recorder = Recorder::new(&self.spec, rc)?;
         let (mut sink, stream) = log_channel_with(DEFAULT_BATCH, &self.config.fault_plan);
-        if let Some(writer) = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)? {
+        if let Some(durable) = &self.config.durable_log {
             // Sink-side persistence: each pristine frame is written to disk
             // as it is flushed, *before* transport injection can damage it.
+            // The writer injects the plan's disk faults at seal time.
+            let writer = DurableWriter::create(durable.clone(), &self.config.fault_plan)
+                .map_err(|e| PipelineError::Record(RecordError::DurableLog(e.to_string())))?;
             sink.persist_to(writer);
         }
         recorder.stream_to(sink);
-        let (rec_result, cr_result) = if replay_cfg.parallel_spans > 0 {
-            // Parallel CR: seeds stream from the recorder alongside the
-            // records, and span workers launch as soon as both sides of a
-            // boundary have been observed. The workers start from the
-            // seeds' page `Arc`s, so the recorder's decodes serve them.
+        // Parallel CR: seeds stream from the recorder alongside the records,
+        // and span workers launch as soon as both sides of a boundary have
+        // been observed. The workers start from the seeds' page `Arc`s, so
+        // the recorder's decodes serve them.
+        let seed_rx = (replay_cfg.parallel_spans > 0).then(|| {
             recorder.attach_shared_cache(Arc::clone(shared));
             let (seed_tx, seed_rx) = std::sync::mpsc::channel();
-            recorder.seed_to(seed_tx);
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(move || catch_unwind(AssertUnwindSafe(move || recorder.run())));
-                let feed = SpanFeed::Streaming { stream: Box::new(stream), seed_rx };
-                let cr_result = replay_spans(&self.spec, feed, &replay_cfg, None, Some(shared))
-                    .map(|par| (par.outcome, par.block_stats));
-                let rec_result = handle.join().unwrap_or_else(Err);
-                (rec_result, cr_result)
-            })
-        } else {
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(move || catch_unwind(AssertUnwindSafe(move || recorder.run())));
-                let mut cr = Replayer::new(&self.spec, stream, replay_cfg);
-                cr.attach_shared_cache(Arc::clone(shared));
-                let cr_result = cr.run().map(|out| {
-                    let stats = out.vm().block_stats();
-                    (out, stats)
-                });
-                // `catch_unwind` inside the thread carries any recorder panic
-                // out as a value, so `join` itself cannot fail here; fold the
-                // two layers into one.
-                let rec_result = handle.join().unwrap_or_else(Err);
-                (rec_result, cr_result)
-            })
-        };
+            recorder.seed_to(seed_tx, span_seed_cadence(&self.config));
+            seed_rx
+        });
+        let (rec_result, cr_result) = std::thread::scope(|scope| {
+            let handle = scope.spawn(move || catch_unwind(AssertUnwindSafe(move || recorder.run())));
+            let cr_result = match seed_rx {
+                Some(seed_rx) => {
+                    replay_spans(&self.spec, stream.into(), seed_rx, &replay_cfg, None, Some(shared))
+                        .map(|par| (par.outcome, par.block_stats))
+                }
+                None => {
+                    let mut cr = Replayer::new(&self.spec, stream, replay_cfg);
+                    cr.attach_shared_cache(Arc::clone(shared));
+                    cr.run().map(|out| {
+                        let stats = out.vm().block_stats();
+                        (out, stats)
+                    })
+                }
+            };
+            // `catch_unwind` inside the thread carries any recorder panic
+            // out as a value, so `join` itself cannot fail here; fold the
+            // two layers into one.
+            let rec_result = handle.join().unwrap_or_else(Err);
+            (rec_result, cr_result)
+        });
         // Precedence: a recorder panic explains everything downstream
         // (including whatever truncated-log error it induced in the CR),
         // then a guest fault, then the CR's own result.
@@ -649,9 +598,7 @@ impl Pipeline {
     }
 }
 
-/// The recorder configuration a [`PipelineConfig`] implies. Span replay
-/// arms seed capture; seed capture is pure reads, so the recording is
-/// byte-identical either way.
+/// The recorder configuration a [`PipelineConfig`] implies.
 fn record_config(cfg: &PipelineConfig) -> RecordConfig {
     let mut rc = RecordConfig::new(RecordMode::Rec, cfg.seed, cfg.duration_insns);
     rc.ras_capacity = cfg.ras_capacity;
@@ -660,7 +607,6 @@ fn record_config(cfg: &PipelineConfig) -> RecordConfig {
     rc.decode_cache = cfg.decode_cache;
     rc.block_engine = cfg.block_engine;
     rc.superblocks = cfg.superblocks;
-    rc.span_seed_every_insns = (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg));
     rc.vrt = cfg.vrt.clone();
     rc
 }
@@ -696,21 +642,6 @@ fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
         fault_plan: FaultPlan::default(),
         durable_log: None,
         ..replay_cfg.clone()
-    }
-}
-
-/// The fault-plan-aware durable segment writer when a `durable_log` knob is
-/// set: every record path persists through this, so the plan's disk faults
-/// hit the same sealed segments in any mode.
-fn durable_writer_for(
-    durable: Option<&DurableLogConfig>,
-    plan: &FaultPlan,
-) -> Result<Option<DurableWriter>, PipelineError> {
-    match durable {
-        Some(d) => DurableWriter::create(d.clone(), plan)
-            .map(Some)
-            .map_err(|e| PipelineError::Record(RecordError::DurableLog(e.to_string()))),
-        None => Ok(None),
     }
 }
 

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use rnr_guest::layout;
 use rnr_isa::Reg;
-use rnr_log::{
-    AlarmInfo, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, LogSink, Record, VrtAlarmInfo,
-};
+use rnr_log::{AlarmInfo, Category, InputLog, LogSink, Record, VrtAlarmInfo};
 use rnr_machine::{
     CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
     MachineConfig, SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING,
@@ -103,16 +101,6 @@ pub struct RecordConfig {
     /// §3). With the §6 attack this halts the guest *before* any gadget
     /// executes.
     pub stall_on_alarm: bool,
-    /// Capture a [`SpanSeed`] roughly every this many retired instructions,
-    /// cutting the log into spans a parallel checkpointing replayer can
-    /// verify concurrently. Capture is pure reads plus `Arc` clones of the
-    /// copy-on-write pages, so the log, cycles, and digests are byte-for-byte
-    /// identical with seeding on or off. `None` disables capture.
-    pub span_seed_every_insns: Option<u64>,
-    /// Persist the log to a durable segment store as it is recorded
-    /// (DESIGN.md §13). Resilience/wall-clock only; the log, cycles, and
-    /// digests are byte-for-byte identical with persistence on or off.
-    pub durable_log: Option<DurableLogConfig>,
     /// Arm the Variable Record Table memory-safety detector (DESIGN.md §15)
     /// with these parameters. `None` leaves the recorded VM unarmed; replay
     /// VMs are *always* unarmed, so VRT alarms reach the replayer only
@@ -136,8 +124,6 @@ impl RecordConfig {
             trace: 0,
             jop_common_functions: None,
             stall_on_alarm: false,
-            span_seed_every_insns: None,
-            durable_log: None,
             vrt: None,
         }
     }
@@ -258,14 +244,9 @@ pub struct RecordOutcome {
     /// Cycle timestamps of context switches (only when tracing is enabled;
     /// feeds the Table 1 DOS watchdog).
     pub switch_trace: Vec<u64>,
-    /// Store-watchpoint hits `(pc, addr, value, retired)` (debugging).
-    pub watch_hits: Vec<(u64, u64, u64, u64)>,
     /// Basic-block cache counters (wall-clock diagnostics, never part of
     /// the verified report).
     pub block_stats: rnr_machine::BlockStats,
-    /// Span seeds captured during recording (empty unless
-    /// [`RecordConfig::span_seed_every_insns`] was set).
-    pub span_seeds: Vec<SpanSeed>,
 }
 
 impl RecordOutcome {
@@ -289,7 +270,6 @@ pub struct Recorder {
     console: Vec<u8>,
     log: InputLog,
     sink: Option<LogSink>,
-    durable: Option<DurableWriter>,
     attribution: CycleAttribution,
     intro: Introspector,
     current_tid: ThreadId,
@@ -301,8 +281,6 @@ pub struct Recorder {
     next_packet: Option<u64>,
     net: crate::NetProfile,
     injections: VecDeque<PacketInjection>,
-    watch_addr: Option<u64>,
-    watch_last: u64,
     fig8: Option<RasAttribution>,
     vrt_base: u64,
     vrt_len: u64,
@@ -312,8 +290,8 @@ pub struct Recorder {
     context_switches: u64,
     disk_ops: Vec<crate::devices::DiskOp>,
     switch_trace: Vec<u64>,
-    span_seeds: Vec<SpanSeed>,
     seed_tx: Option<std::sync::mpsc::Sender<SpanSeed>>,
+    seed_every: u64,
     next_seed_at: u64,
 }
 
@@ -363,12 +341,6 @@ impl Recorder {
         if config.trace > 0 {
             vm.enable_trace(config.trace);
         }
-        // Read the debugging watch address once here, not in the run loop:
-        // env lookups are host syscalls and have no place on the hot path.
-        let watch_addr = std::env::var("RNR_WATCH_ADDR").ok().and_then(|v| u64::from_str_radix(&v, 16).ok());
-        if let Some(w) = watch_addr {
-            vm.set_watchpoint(w);
-        }
         vm.set_entry(spec.kernel.entry());
         vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
         if config.functional_ras_analysis {
@@ -387,16 +359,7 @@ impl Recorder {
         let mut nondet = NondetSource::new(config.seed);
         let next_timer = spec.timer_period + nondet.timer_jitter(spec.timer_period);
         let next_packet = spec.net.mean_interarrival.map(|m| nondet.packet_gap(m));
-        let durable = match config.durable_log.as_ref() {
-            Some(d) => Some(
-                DurableWriter::create(d.clone(), &FaultPlan::default())
-                    .map_err(|e| RecordError::DurableLog(e.to_string()))?,
-            ),
-            None => None,
-        };
         Ok(Recorder {
-            watch_addr,
-            watch_last: 0,
             vm,
             nondet,
             disk: DiskDevice::new(spec.disk_bytes, spec.disk_seed),
@@ -404,7 +367,6 @@ impl Recorder {
             console: Vec::new(),
             log: InputLog::new(),
             sink: None,
-            durable,
             attribution: CycleAttribution::new(),
             intro,
             current_tid: ThreadId(1),
@@ -425,9 +387,9 @@ impl Recorder {
             context_switches: 0,
             disk_ops: Vec::new(),
             switch_trace: Vec::new(),
-            span_seeds: Vec::new(),
             seed_tx: None,
-            next_seed_at: config.span_seed_every_insns.unwrap_or(u64::MAX),
+            seed_every: u64::MAX,
+            next_seed_at: u64::MAX,
             config,
         })
     }
@@ -439,20 +401,17 @@ impl Recorder {
         self.sink = Some(sink);
     }
 
-    /// Attaches a durable segment-store writer: every record is persisted as
-    /// it is appended, and the store is sealed when recording finishes.
-    /// Replaces any writer created from [`RecordConfig::durable_log`] — the
-    /// pipeline uses this to pass a fault-plan-aware writer.
-    pub fn persist_to(&mut self, writer: DurableWriter) {
-        self.durable = Some(writer);
-    }
-
-    /// Mirrors every captured [`SpanSeed`] to `tx` as soon as it exists, so
-    /// a concurrent parallel replayer can dispatch span workers while
-    /// recording is still in progress. Seeds still accumulate in
-    /// [`RecordOutcome::span_seeds`] regardless.
-    pub fn seed_to(&mut self, tx: std::sync::mpsc::Sender<SpanSeed>) {
+    /// Captures a [`SpanSeed`] roughly every `every_insns` retired
+    /// instructions and sends it to `tx` as soon as it exists, cutting the
+    /// log into spans a parallel checkpointing replayer can verify while
+    /// recording is still in progress (DESIGN.md §11). Capture is pure
+    /// reads plus `Arc` clones of the copy-on-write pages, so the log,
+    /// cycles, and digests are byte-for-byte identical with seeding on or
+    /// off.
+    pub fn seed_to(&mut self, tx: std::sync::mpsc::Sender<SpanSeed>, every_insns: u64) {
         self.seed_tx = Some(tx);
+        self.seed_every = every_insns.max(1);
+        self.next_seed_at = self.seed_every;
     }
 
     /// Attaches a shared decoded-block cache. The recorder builds its own
@@ -469,9 +428,6 @@ impl Recorder {
     fn emit(&mut self, rec: Record) {
         if let Some(sink) = self.sink.as_mut() {
             sink.push(rec.clone());
-        }
-        if let Some(writer) = self.durable.as_mut() {
-            writer.push(&rec);
         }
         self.log.push(rec);
     }
@@ -494,8 +450,7 @@ impl Recorder {
                 && !self.stalled
             {
                 self.capture_span_seed();
-                self.next_seed_at =
-                    self.vm.retired().saturating_add(self.config.span_seed_every_insns.unwrap_or(u64::MAX));
+                self.next_seed_at = self.vm.retired().saturating_add(self.seed_every);
             }
             if self.vm.retired() >= until || self.fault.is_some() || self.stalled {
                 break;
@@ -504,21 +459,6 @@ impl Recorder {
             let exit = self
                 .vm
                 .run(rnr_machine::RunBudget { until_retired: Some(until), until_cycles: Some(deadline) });
-            if let Some(watch) = self.watch_addr {
-                let val = self.vm.mem().read_u64(watch).unwrap_or(0);
-                if val != self.watch_last {
-                    eprintln!(
-                        "WATCH {:#x}: {} -> {} at insn {} pc {:#x} exit {:?}",
-                        watch,
-                        self.watch_last,
-                        val,
-                        self.vm.retired(),
-                        self.vm.cpu().pc,
-                        exit
-                    );
-                    self.watch_last = val;
-                }
-            }
             self.handle_exit(exit);
         }
         if self.config.mode.is_recording() {
@@ -526,9 +466,6 @@ impl Recorder {
         }
         if let Some(sink) = self.sink.take() {
             sink.finish();
-        }
-        if let Some(writer) = self.durable.take() {
-            writer.finish();
         }
         if let Some(f) = self.fig8.as_mut() {
             f.add_instructions(self.vm.retired());
@@ -567,11 +504,9 @@ impl Recorder {
                 .map(|slot| self.vm.mem().read_u64(rnr_guest::layout::OPS_BASE + (slot + 1) * 8).unwrap_or(0))
                 .sum(),
             context_switches: self.context_switches,
-            watch_hits: self.vm.watch_hits().to_vec(),
             block_stats: self.vm.block_stats(),
             switch_trace: self.switch_trace,
             console: self.console,
-            span_seeds: self.span_seeds,
             log: Arc::new(self.log),
             attribution: self.attribution,
         }
@@ -596,9 +531,8 @@ impl Recorder {
         };
         if let Some(tx) = &self.seed_tx {
             // A disconnected receiver just means nobody is replaying live.
-            let _ = tx.send(seed.clone());
+            let _ = tx.send(seed);
         }
-        self.span_seeds.push(seed);
     }
 
     fn next_event_cycle(&self) -> u64 {

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 
 use crate::segment::{decode_segment, encode_segment, Segment};
-use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record, DEFAULT_BATCH};
+use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record};
 
 /// File extension of a sealed segment.
 pub const SEGMENT_EXT: &str = "rnrseg";
@@ -49,21 +49,12 @@ pub struct DurableLogConfig {
     /// RLE-compress segment bodies (skipped per segment when it doesn't
     /// shrink; the on-disk bytes stay deterministic either way).
     pub compress: bool,
-    /// Records per self-batched frame when the writer is fed record-by-
-    /// record ([`DurableWriter::push`]); matches the transport batch so a
-    /// recorder-side writer produces frames byte-identical to the sink's.
-    pub batch_records: usize,
 }
 
 impl DurableLogConfig {
     /// A config with the default segment geometry.
     pub fn new(dir: impl Into<PathBuf>) -> DurableLogConfig {
-        DurableLogConfig {
-            dir: dir.into(),
-            frames_per_segment: DEFAULT_FRAMES_PER_SEGMENT,
-            compress: true,
-            batch_records: DEFAULT_BATCH,
-        }
+        DurableLogConfig { dir: dir.into(), frames_per_segment: DEFAULT_FRAMES_PER_SEGMENT, compress: true }
     }
 }
 
@@ -92,8 +83,6 @@ pub struct DurableWriter {
     pending: Vec<Vec<Record>>,
     /// Sequence number of `pending[0]`.
     pending_first_seq: u64,
-    /// Records awaiting their frame ([`DurableWriter::push`] mode).
-    batch: Vec<Record>,
     next_segment: u64,
     faults: Vec<DiskFault>,
     seed: u64,
@@ -115,7 +104,6 @@ impl DurableWriter {
             cfg,
             pending: Vec::new(),
             pending_first_seq: 0,
-            batch: Vec::new(),
             next_segment: 0,
             stats: DiskWriteStats::default(),
         })
@@ -137,30 +125,9 @@ impl DurableWriter {
         }
     }
 
-    /// Appends one record, self-batching into frames of
-    /// [`DurableLogConfig::batch_records`] — the recorder-side feed used
-    /// when no streaming sink exists. The resulting frames are
-    /// byte-identical to what a sink with the same batch size would retain.
-    pub fn push(&mut self, record: &Record) {
-        self.batch.push(record.clone());
-        if self.batch.len() >= self.cfg.batch_records.max(1) {
-            self.flush_batch();
-        }
-    }
-
-    fn flush_batch(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let seq = self.pending_first_seq + self.pending.len() as u64;
-        let records = std::mem::take(&mut self.batch);
-        self.append_frame(seq, &records);
-    }
-
-    /// Flushes any partial batch, seals the remainder, and reports what was
-    /// persisted. (Dropping the writer does the same, swallowing errors.)
+    /// Seals the remaining frames and reports what was persisted. (Dropping
+    /// the writer does the same, swallowing errors.)
     pub fn finish(mut self) -> DiskWriteStats {
-        self.flush_batch();
         self.seal();
         self.stats
     }
@@ -227,7 +194,6 @@ impl DurableWriter {
 
 impl Drop for DurableWriter {
     fn drop(&mut self) {
-        self.flush_batch();
         self.seal();
     }
 }
@@ -499,7 +465,7 @@ mod tests {
     }
 
     fn cfg(dir: &Path, frames_per_segment: usize) -> DurableLogConfig {
-        DurableLogConfig { frames_per_segment, compress: true, batch_records: 4, dir: dir.to_path_buf() }
+        DurableLogConfig { frames_per_segment, compress: true, dir: dir.to_path_buf() }
     }
 
     fn records(n: u64, base: u64) -> Vec<Record> {
@@ -528,33 +494,6 @@ mod tests {
             assert_eq!(decode_frame(&bytes).unwrap(), (seq, records(3, seq * 100)));
         }
         assert_eq!(store.scan().missing_spans, Vec::new());
-    }
-
-    #[test]
-    fn push_mode_matches_frame_mode() {
-        let tmp = TempDir::new("push-mode");
-        let a = tmp.0.join("a");
-        let b = tmp.0.join("b");
-        let all: Vec<Record> = (0..10).map(|i| Record::Rdtsc { value: i }).collect();
-
-        let mut wa = DurableWriter::create(cfg(&a, 2), &FaultPlan::default()).unwrap();
-        for r in &all {
-            wa.push(r);
-        }
-        wa.finish();
-
-        let mut wb = DurableWriter::create(cfg(&b, 2), &FaultPlan::default()).unwrap();
-        for (seq, chunk) in all.chunks(4).enumerate() {
-            wb.append_frame(seq as u64, chunk);
-        }
-        wb.finish();
-
-        // 10 records → frames of 4+4+2 → segments of 2 frames + 1 frame.
-        for seg in 0..2u64 {
-            let fa = fs::read(a.join(segment_file_name(seg))).unwrap();
-            let fb = fs::read(b.join(segment_file_name(seg))).unwrap();
-            assert_eq!(fa, fb, "segment {seg} differs between push and frame feeds");
-        }
     }
 
     #[test]

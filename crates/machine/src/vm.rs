@@ -98,8 +98,6 @@ pub struct GuestVm {
     interrupt_window: bool,
     trace: std::collections::VecDeque<Addr>,
     trace_cap: usize,
-    watch_addr: Option<Addr>,
-    watch_hits: Vec<(Addr, u64, u64, u64)>,
     // Optional run-wide pool of decoded page caches (see
     // `SharedPageCache`): blocks built here are published, and misses in
     // an absent or stale page try to adopt a pool entry decoded from the
@@ -139,8 +137,6 @@ impl GuestVm {
             interrupt_window: false,
             trace: std::collections::VecDeque::new(),
             trace_cap: 0,
-            watch_addr: None,
-            watch_hits: Vec::new(),
             shared_cache: None,
         }
     }
@@ -173,16 +169,6 @@ impl GuestVm {
     /// The VRT's diagnostic counters, if the VM is armed.
     pub fn vrt_counters(&self) -> Option<&rnr_vrt::VrtCounters> {
         self.vrt.as_ref().map(|v| v.counters())
-    }
-
-    /// Debugging: record every store whose 8-byte window covers `addr`.
-    pub fn set_watchpoint(&mut self, addr: Addr) {
-        self.watch_addr = Some(addr);
-    }
-
-    /// Debugging: `(pc, store_addr, value, retired)` for watchpoint hits.
-    pub fn watch_hits(&self) -> &[(Addr, u64, u64, u64)] {
-        &self.watch_hits
     }
 
     /// Enables a debugging ring buffer of the last `n` executed PCs.
@@ -449,13 +435,10 @@ impl GuestVm {
     /// Besides the config knob, block execution requires every
     /// per-instruction observation point to be absent: a non-zero decode
     /// cost would charge cycles per cache build instead of per fetch, and
-    /// the PC trace ring / store watchpoint are debugging aids that want to
-    /// see (and timestamp) each instruction individually.
+    /// the PC trace ring is a debugging aid that wants to see each
+    /// instruction individually.
     fn block_engine_active(&self) -> bool {
-        self.config.block_engine
-            && self.config.costs.decode == 0
-            && self.trace_cap == 0
-            && self.watch_addr.is_none()
+        self.config.block_engine && self.config.costs.decode == 0 && self.trace_cap == 0
     }
 
     /// The event horizon: how many instructions may retire before a budget
@@ -1138,7 +1121,6 @@ impl GuestVm {
             }
             St | St8 => {
                 let addr = rs1.wrapping_add(imm_s);
-                debug_assert!(self.watch_addr.is_none(), "watchpoints disable the block engine");
                 if is_mmio(addr) {
                     self.pending_io = Some(PendingIo { rd: None });
                     return Err(Exit::MmioWrite { addr, value: rs2 });
@@ -1311,11 +1293,6 @@ impl GuestVm {
             }
             St | St8 => {
                 let addr = rs1.wrapping_add(imm_s);
-                if let Some(w) = self.watch_addr {
-                    if addr <= w && w < addr + 8 {
-                        self.watch_hits.push((pc, addr, rs2, self.retired));
-                    }
-                }
                 if is_mmio(addr) {
                     self.pending_io = Some(PendingIo { rd: None });
                     return Some(Exit::MmioWrite { addr, value: rs2 });

@@ -19,7 +19,10 @@
 //!   matching RAS-underflow alarms against *evict* records and discarding
 //!   the false ones without launching an alarm replayer. The CR can run
 //!   serially or span-partitioned across workers ([`replay_spans`],
-//!   DESIGN.md §11): the fold reconstructs the serial CR's clock,
+//!   DESIGN.md §11), which takes one feed — records from a
+//!   [`rnr_log::LogSource`] and span seeds from the recorder's seed
+//!   channel — and dispatches each span as soon as both sides of its
+//!   boundary have arrived. The fold reconstructs the serial CR's clock,
 //!   checkpoint schedule, and alarm bookkeeping byte-identically, so
 //!   `parallel_spans` is a wall-clock-only knob.
 //! * [`AlarmReplayer`] — launched from the checkpoint preceding an
@@ -49,7 +52,7 @@ pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
     RewindStep,
 };
-pub use parallel::{replay_spans, ParallelReplayOutcome, SpanFeed};
+pub use parallel::{replay_spans, ParallelReplayOutcome};
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint
 /// intervals in seconds (RepChk5/RepChk1/RepChk02); this constant maps them

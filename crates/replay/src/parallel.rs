@@ -23,13 +23,12 @@
 //!    serial CR's continuous verification between spans.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 
 use rnr_hypervisor::{CycleAttribution, SpanSeed, VmSpec};
 use rnr_isa::Addr;
-use rnr_log::{Category, FaultPlan, InputLog, LogCursor, LogSource, LogStream, Record, TransportStats};
+use rnr_log::{Category, FaultPlan, LogCursor, LogSource, Record, TransportStats};
 use rnr_machine::{BlockStats, Digest, SharedPageCache};
 use rnr_ras::{MispredictKind, ThreadId};
 
@@ -47,28 +46,6 @@ const MAX_SPAN_ATTEMPTS: u32 = 3;
 /// unrecoverable (mirrors the serial engine's rewind bound).
 const MAX_TRANSPORT_HEALS: u32 = 16;
 
-/// Where a parallel replay gets its records and span seeds.
-#[derive(Debug)]
-pub enum SpanFeed {
-    /// A finished recording plus the seeds its recorder captured.
-    Complete {
-        /// The complete input log.
-        log: Arc<InputLog>,
-        /// Span seeds, in capture order.
-        seeds: Vec<SpanSeed>,
-    },
-    /// A live recording: records arrive on the stream while seeds arrive on
-    /// the channel; spans are dispatched as soon as both sides of their
-    /// boundary have been observed, overlapping replay with recording
-    /// (§4.6.1's concurrent CR, parallelized).
-    Streaming {
-        /// The record transport from the recorder.
-        stream: Box<LogStream>,
-        /// Seed delivery from [`rnr_hypervisor::Recorder::seed_to`].
-        seed_rx: Receiver<SpanSeed>,
-    },
-}
-
 /// Result of [`replay_spans`]: the serial-identical outcome plus the merged
 /// wall-clock block-engine statistics of every worker (the outcome's own VM
 /// is only the *last* worker's, so its stats alone would undercount).
@@ -81,24 +58,6 @@ pub struct ParallelReplayOutcome {
     pub block_stats: BlockStats,
 }
 
-/// How a worker (re)constructs its log view for each attempt.
-#[derive(Debug, Clone)]
-enum JobSource {
-    /// The whole log, shared; the worker's cursor does the partitioning.
-    Complete(Arc<InputLog>),
-    /// Just this span's records, globally indexed from `base`.
-    Slice(Arc<[Record]>, usize),
-}
-
-impl JobSource {
-    fn to_source(&self) -> LogSource {
-        match self {
-            JobSource::Complete(log) => LogSource::Complete(Arc::clone(log)),
-            JobSource::Slice(records, base) => LogSource::Span { records: Arc::clone(records), base: *base },
-        }
-    }
-}
-
 /// One span's work order: everything a worker needs to replay one
 /// contiguous slice of the log independently, in any order, on any worker.
 #[derive(Debug, Clone)]
@@ -106,7 +65,9 @@ struct SpanJob {
     index: usize,
     /// `None` for span 0 (fresh boot state), the preceding seed otherwise.
     seed: Option<SpanSeed>,
-    source: JobSource,
+    /// Just this span's records, globally indexed from `base`.
+    records: Arc<[Record]>,
+    base: usize,
     /// First record index *not* in this span (`None` = run to `End`).
     records_end: Option<usize>,
     /// Seam instruction to run to after the last record (`None` = final span).
@@ -177,6 +138,13 @@ struct FoldOut {
 /// Replays a recording across `cfg.parallel_spans.max(1)` span workers and
 /// reassembles a [`ReplayOutcome`] byte-identical to a serial CR's.
 ///
+/// Records come from `source` — a live stream from the recorder or a
+/// finished log — and span seeds from `seed_rx`, fed by
+/// [`rnr_hypervisor::Recorder::seed_to`] (or pre-filled for a finished
+/// log). Spans are dispatched as soon as both sides of their boundary have
+/// been observed, so with a live stream replay overlaps the recording
+/// (§4.6.1's concurrent CR, parallelized).
+///
 /// `expected` arms final-digest verification exactly like
 /// [`Replayer::verify_against`]; `shared` plugs every worker into the
 /// run-wide decoded-block cache.
@@ -190,87 +158,21 @@ struct FoldOut {
 /// [`ReplayError::Divergence`].
 pub fn replay_spans(
     spec: &VmSpec,
-    feed: SpanFeed,
+    source: LogSource,
+    seed_rx: Receiver<SpanSeed>,
     cfg: &ReplayConfig,
     expected: Option<Digest>,
     shared: Option<&Arc<SharedPageCache>>,
 ) -> Result<ParallelReplayOutcome, ReplayError> {
-    let worker_count = cfg.parallel_spans.max(1);
-    match feed {
-        SpanFeed::Complete { log, seeds } => {
-            let jobs = plan_spans(&log, &seeds, &cfg.fault_plan);
-            let results = run_jobs_pooled(spec, cfg, shared, &jobs, worker_count);
-            assemble_spans(
-                spec,
-                cfg,
-                shared,
-                log.records(),
-                &jobs,
-                results,
-                expected,
-                TransportStats::default(),
-            )
-        }
-        SpanFeed::Streaming { stream, seed_rx } => {
-            let harvest = run_workers_streaming(spec, stream, seed_rx, cfg, shared, worker_count);
-            if let Some(e) = harvest.drain_err {
-                return Err(e);
-            }
-            let mut map = harvest.results;
-            let results = (0..harvest.jobs.len())
-                .map(|k| map.remove(&k).unwrap_or(Err(ReplayError::UnexpectedEndOfLog)))
-                .collect();
-            assemble_spans(
-                spec,
-                cfg,
-                shared,
-                &harvest.records,
-                &harvest.jobs,
-                results,
-                expected,
-                harvest.transport,
-            )
-        }
+    let harvest = run_workers(spec, source, seed_rx, cfg, shared, cfg.parallel_spans.max(1));
+    if let Some(e) = harvest.drain_err {
+        return Err(e);
     }
-}
-
-/// Cuts a finished recording into one [`SpanJob`] per seed interval.
-fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
-    (0..=seeds.len())
-        .map(|k| make_job(k, seeds, log.records(), plan, JobSource::Complete(Arc::clone(log))))
-        .collect()
-}
-
-/// Executes a fixed job list on a bounded scoped pool, returning results in
-/// span order regardless of completion order.
-fn run_jobs_pooled(
-    spec: &VmSpec,
-    cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
-    jobs: &[SpanJob],
-    workers: usize,
-) -> Vec<Result<SpanDone, ReplayError>> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<SpanDone, ReplayError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        let Some(job) = jobs.get(k) else { break };
-        let done = run_one_span(spec, cfg, shared, job);
-        *slots[k].lock().expect("span result slot") = Some(done);
-    };
-    match workers.clamp(1, jobs.len().max(1)) {
-        1 => work(),
-        n => std::thread::scope(|scope| {
-            for _ in 0..n {
-                scope.spawn(work);
-            }
-        }),
-    }
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("span result slot").unwrap_or(Err(ReplayError::UnexpectedEndOfLog)))
-        .collect()
+    let mut map = harvest.results;
+    let results = (0..harvest.jobs.len())
+        .map(|k| map.remove(&k).unwrap_or(Err(ReplayError::UnexpectedEndOfLog)))
+        .collect();
+    assemble_spans(spec, cfg, shared, &harvest.records, &harvest.jobs, results, expected, harvest.transport)
 }
 
 /// Reassembles per-span results into a [`ReplayOutcome`] byte-identical to
@@ -280,8 +182,7 @@ fn run_jobs_pooled(
 ///
 /// `results` must be in span order (index `k` = `jobs[k]`); `records` is
 /// the full record sequence the jobs were planned over, and `transport`
-/// carries whatever the feed's drain already healed (zero for a complete
-/// log).
+/// carries whatever the drain already healed.
 ///
 /// # Errors
 ///
@@ -378,13 +279,12 @@ fn assemble_spans(
     Ok(ParallelReplayOutcome { outcome, block_stats })
 }
 
-/// Spawns the worker pool for a live recording, feeds it spans as both
-/// sides of each seam arrive, and gathers every result. Never fails itself
-/// — drain problems land in [`Harvest::drain_err`] so the pool always joins
-/// cleanly.
-fn run_workers_streaming(
+/// Spawns the worker pool, feeds it spans as both sides of each seam
+/// arrive, and gathers every result. Never fails itself — drain problems
+/// land in [`Harvest::drain_err`] so the pool always joins cleanly.
+fn run_workers(
     spec: &VmSpec,
-    mut stream: Box<LogStream>,
+    mut stream: LogSource,
     seed_rx: Receiver<SpanSeed>,
     cfg: &ReplayConfig,
     shared: Option<&Arc<SharedPageCache>>,
@@ -452,21 +352,19 @@ fn run_workers_streaming(
             // Dispatch every span whose records are fully drained:
             // replay overlaps the still-running recording.
             while jobs.len() < seeds.len() && records.len() >= seeds[jobs.len()].at_record {
-                let k = jobs.len();
-                let job = make_job(k, &seeds, &records, &cfg.fault_plan, slice_source(&records, k, &seeds));
+                let job = make_job(jobs.len(), &seeds, &records, &cfg.fault_plan);
                 let _ = job_tx.send(job.clone());
                 jobs.push(job);
             }
         }
         if drain_err.is_none() {
-            // The recorder is done: its seed sends all happened
-            // before the sink hung up, so the channel is complete.
+            // The log is complete: a recorder's seed sends all happened
+            // before its sink hung up, so the channel is complete too.
             while let Ok(s) = seed_rx.try_recv() {
                 seeds.push(s);
             }
             while jobs.len() <= seeds.len() {
-                let k = jobs.len();
-                let job = make_job(k, &seeds, &records, &cfg.fault_plan, slice_source(&records, k, &seeds));
+                let job = make_job(jobs.len(), &seeds, &records, &cfg.fault_plan);
                 let _ = job_tx.send(job.clone());
                 jobs.push(job);
             }
@@ -482,20 +380,9 @@ fn run_workers_streaming(
     })
 }
 
-/// The record slice for span `k`, globally indexed.
-fn slice_source(records: &[Record], k: usize, seeds: &[SpanSeed]) -> JobSource {
-    let start = if k == 0 { 0 } else { seeds[k - 1].at_record };
-    let end = if k < seeds.len() { seeds[k].at_record } else { records.len() };
-    JobSource::Slice(Arc::from(&records[start..end]), start)
-}
-
-fn make_job(
-    k: usize,
-    seeds: &[SpanSeed],
-    records: &[Record],
-    plan: &FaultPlan,
-    source: JobSource,
-) -> SpanJob {
+/// Span `k`'s work order over the drained `records`: its seed, its record
+/// slice (globally indexed), and the plan injections it owns.
+fn make_job(k: usize, seeds: &[SpanSeed], records: &[Record], plan: &FaultPlan) -> SpanJob {
     let (start_rec, start_insn, seed) = if k == 0 {
         (0, 0, None)
     } else {
@@ -507,6 +394,7 @@ fn make_job(
     } else {
         (None, None, u64::MAX)
     };
+    let slice = Arc::from(&records[start_rec..records_end.unwrap_or(records.len())]);
     let prior_interrupts =
         records[..start_rec].iter().filter(|r| matches!(r, Record::Interrupt { .. })).count() as u64;
     // A planned injection belongs to exactly one span: the one whose
@@ -516,7 +404,8 @@ fn make_job(
     SpanJob {
         index: k,
         seed,
-        source,
+        records: slice,
+        base: start_rec,
         records_end,
         seam,
         start_insn,
@@ -548,7 +437,7 @@ fn build_replayer(
     job: &SpanJob,
     shared: Option<&Arc<SharedPageCache>>,
 ) -> Replayer {
-    let source = job.source.to_source();
+    let source = LogSource::Span { records: Arc::clone(&job.records), base: job.base };
     let mut r = match &job.seed {
         None => Replayer::new(spec, source, wcfg),
         Some(seed) => {

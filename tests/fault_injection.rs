@@ -292,13 +292,22 @@ fn damaged_disk_copy_falls_back_to_memory_and_still_heals() {
 #[test]
 fn durable_store_reopens_and_restores_after_every_damage_kind() {
     use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
+    use rnr_log::{log_channel, DurableWriter, DEFAULT_BATCH};
     use rnr_replay::{ReplayConfig, Replayer};
 
     let spec = Workload::Mysql.spec(false);
     let master = TempDir::new("reopen-master");
-    let mut rc = RecordConfig::new(RecordMode::Rec, 42, 250_000);
-    rc.durable_log = Some(durable_cfg(&master.0));
-    let rec = Recorder::new(&spec, rc).expect("recorder").run();
+    // Sink-side persistence, as the pipeline does it: every frame the sink
+    // flushes is written to the store. Nobody consumes the stream; the
+    // recorder keeps its own complete log.
+    let mut recorder =
+        Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 250_000)).expect("recorder");
+    let (mut sink, _stream) = log_channel(DEFAULT_BATCH);
+    sink.persist_to(
+        DurableWriter::create(durable_cfg(&master.0), &FaultPlan::default()).expect("store directory"),
+    );
+    recorder.stream_to(sink);
+    let rec = recorder.run();
     let total_frames = {
         let store = DurableStore::open(&master.0).expect("pristine store opens");
         assert!(store.scan().clean(), "pristine store must scan clean: {:?}", store.scan());

@@ -1,13 +1,17 @@
-//! Equivalence of the pipeline's host-side execution strategies: streaming
-//! vs sequential record+replay, AR pool sizes, and the decode cache are all
-//! wall-clock knobs — every one of them must leave the recorded log, the
-//! virtual-cycle figures, and the verdicts bit-identical.
+//! Equivalence of the pipeline's host-side execution strategies: span
+//! replay, AR pool sizes, the decode cache, the block and trace engines and
+//! the durable log are all wall-clock knobs — every one of them must leave
+//! the recorded log, the virtual-cycle figures, and the verdicts
+//! bit-identical. The pipeline always streams; the complete-log reference
+//! (a CR over a finished recording) is checked at the replay layer, where
+//! it lives.
 
 use std::sync::Arc;
 
 use rnr_attacks::mount_kernel_rop;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
 use rnr_log::log_channel;
+use rnr_replay::{replay_spans, ReplayConfig, ReplayOutcome, Replayer, VIRTUAL_HZ};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::{Workload, WorkloadParams};
 
@@ -30,25 +34,71 @@ fn streamed_log_is_byte_identical() {
     assert_eq!(plain.final_digest, streamed.final_digest);
 }
 
-/// Streaming and sequential pipelines produce byte-identical reports on a
-/// benign run.
+/// The CR's figures on the mounted kernel-ROP attack, recorded once, are
+/// identical whichever way the log reaches it: a serial CR over the
+/// complete log, a serial CR over the live stream the recorder published
+/// as it ran, and span replay over the complete log with the recorder's
+/// seeds pre-filled into its seed channel.
 #[test]
-fn benign_pipeline_streaming_matches_sequential() {
-    let run = |streaming: bool| {
-        let spec = Workload::Mysql.spec(false);
-        let cfg = PipelineConfig { duration_insns: 250_000, streaming, ..PipelineConfig::default() };
-        Pipeline::new(spec, cfg).run().unwrap()
+fn complete_log_reference_matches_live_stream_and_span_replay() {
+    let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
+    let cfg = ReplayConfig {
+        checkpoint_interval: Some(VIRTUAL_HZ / 8),
+        resilient: true,
+        ..ReplayConfig::default()
     };
-    let streamed = run(true);
-    let sequential = run(false);
-    assert_eq!(streamed.to_json(), sequential.to_json());
-    assert_eq!(streamed.record.cycles, sequential.record.cycles);
-    assert_eq!(streamed.replay.cycles, sequential.replay.cycles);
+    let mut recorder = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 900_000)).unwrap();
+    let (sink, stream) = log_channel(rnr_log::DEFAULT_BATCH);
+    recorder.stream_to(sink);
+    let (seed_tx, seed_rx) = std::sync::mpsc::channel();
+    recorder.seed_to(seed_tx, 900_000 / 8);
+    let (rec, live) = std::thread::scope(|scope| {
+        let handle = scope.spawn(move || recorder.run());
+        let live = Replayer::new(&spec, stream, cfg.clone()).run().unwrap();
+        (handle.join().unwrap(), live)
+    });
+    assert!(rec.fault.is_none());
+    let seeds: Vec<_> = seed_rx.try_iter().collect();
+    assert!(seeds.len() >= 2, "the attack must be cut into several spans");
+
+    let mut serial_cr = Replayer::new(&spec, Arc::clone(&rec.log), cfg.clone());
+    serial_cr.verify_against(rec.final_digest);
+    let serial = serial_cr.run().unwrap();
+    assert_eq!(serial.verified, Some(true));
+    assert!(!serial.alarm_cases.is_empty(), "the attack must escalate alarm cases");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    for seed in seeds {
+        tx.send(seed).unwrap();
+    }
+    drop(tx);
+    let span_cfg = ReplayConfig { parallel_spans: 2, ..cfg };
+    let spans = replay_spans(&spec, Arc::clone(&rec.log).into(), rx, &span_cfg, Some(rec.final_digest), None)
+        .unwrap()
+        .outcome;
+    assert_eq!(spans.verified, Some(true));
+
+    let figures = |out: &ReplayOutcome| {
+        let cases: Vec<_> =
+            out.alarm_cases.iter().map(|c| (c.alarm_index, c.cr_cycle, c.checkpoint.at_insn)).collect();
+        (
+            out.cycles,
+            out.checkpoints_taken,
+            out.checkpoints_live_max,
+            out.alarms_seen,
+            out.underflows_cancelled,
+            cases,
+            out.final_digest,
+        )
+    };
+    assert_eq!(figures(&live), figures(&serial), "live stream vs complete log");
+    assert_eq!(live.final_digest, rec.final_digest);
+    assert_eq!(figures(&spans), figures(&serial), "2-worker span replay vs serial CR");
 }
 
-/// On the mounted kernel-ROP attack, every host-side strategy — sequential
-/// phases, a bigger AR pool, no decode cache — reproduces the default
-/// (streaming) report exactly, verdicts and detection window included.
+/// On the mounted kernel-ROP attack, every host-side strategy — a bigger
+/// AR pool, no decode cache, no block or trace engine — reproduces the
+/// default report exactly, verdicts and detection window included.
 #[test]
 fn attack_pipeline_equivalent_across_configs() {
     let base_cfg = PipelineConfig {
@@ -64,9 +114,6 @@ fn attack_pipeline_equivalent_across_configs() {
     assert!(base.attacks_confirmed() >= 1);
     assert!(base.detection.is_some());
 
-    let sequential = run(PipelineConfig { streaming: false, ar_workers: 1, ..base_cfg.clone() });
-    assert_eq!(base.to_json(), sequential.to_json(), "sequential record+replay diverged");
-
     let pooled = run(PipelineConfig { ar_workers: 4, ..base_cfg.clone() });
     assert_eq!(base.to_json(), pooled.to_json(), "AR pool size changed the report");
 
@@ -79,13 +126,7 @@ fn attack_pipeline_equivalent_across_configs() {
     let no_traces = run(PipelineConfig { superblocks: false, ..base_cfg.clone() });
     assert_eq!(base.to_json(), no_traces.to_json(), "superblock traces changed the report");
 
-    let bare = run(PipelineConfig {
-        streaming: false,
-        ar_workers: 1,
-        decode_cache: false,
-        block_engine: false,
-        ..base_cfg
-    });
+    let bare = run(PipelineConfig { ar_workers: 1, decode_cache: false, block_engine: false, ..base_cfg });
     assert_eq!(base.to_json(), bare.to_json(), "all wall-clock knobs off diverged");
 }
 
@@ -262,7 +303,7 @@ fn parallel_span_replay_matches_serial_across_matrix() {
 
 /// On the mounted attack, span-parallel verification reproduces the serial
 /// report exactly — verdicts, detection window, and alarm resolutions
-/// included — in both streaming and sequential feed modes.
+/// included.
 #[test]
 fn attack_pipeline_parallel_spans_match_serial() {
     let base_cfg = PipelineConfig {
@@ -277,11 +318,8 @@ fn attack_pipeline_parallel_spans_match_serial() {
     let serial = run(base_cfg.clone());
     assert!(serial.attacks_confirmed() >= 1);
     for workers in [2, 4] {
-        let streamed = run(PipelineConfig { parallel_spans: workers, ..base_cfg.clone() });
-        assert_eq!(serial.to_json(), streamed.to_json(), "streaming feed, {workers} workers");
-        let sequential =
-            run(PipelineConfig { parallel_spans: workers, streaming: false, ..base_cfg.clone() });
-        assert_eq!(serial.to_json(), sequential.to_json(), "complete feed, {workers} workers");
+        let parallel = run(PipelineConfig { parallel_spans: workers, ..base_cfg.clone() });
+        assert_eq!(serial.to_json(), parallel.to_json(), "{workers} span workers");
     }
 }
 
@@ -320,48 +358,6 @@ fn durable_log_equivalent_across_parallel_and_superblock_corners() {
                 "spans={parallel_spans} superblocks={superblocks}: durable_log changed the report"
             );
         }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
-/// Streaming and sequential pipelines persist **byte-identical** segment
-/// stores: the sink-side and recorder-side writers frame records the same
-/// way, so the durable form is independent of how the run was driven.
-#[test]
-fn durable_store_is_byte_identical_across_streaming_and_sequential() {
-    let scratch = std::env::temp_dir().join(format!("rnr-eq-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let run = |streaming: bool, dir: std::path::PathBuf| {
-        let cfg = PipelineConfig {
-            duration_insns: 250_000,
-            streaming,
-            durable_log: Some(rnr_log::DurableLogConfig::new(dir)),
-            ..PipelineConfig::default()
-        };
-        Pipeline::new(Workload::Mysql.spec(false), cfg).run().unwrap()
-    };
-    let streamed = run(true, scratch.join("streaming"));
-    let sequential = run(false, scratch.join("sequential"));
-    assert_eq!(streamed.to_json(), sequential.to_json());
-
-    let mut names: Vec<String> = std::fs::read_dir(scratch.join("streaming"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "the streaming run must have sealed segments");
-    let mut other: Vec<String> = std::fs::read_dir(scratch.join("sequential"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    other.sort();
-    assert_eq!(names, other, "same segment files either way");
-    for name in &names {
-        assert_eq!(
-            std::fs::read(scratch.join("streaming").join(name)).unwrap(),
-            std::fs::read(scratch.join("sequential").join(name)).unwrap(),
-            "{name}: segment bytes differ between streaming and sequential persistence"
-        );
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
