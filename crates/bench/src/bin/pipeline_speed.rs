@@ -19,7 +19,7 @@ use rnr_bench::{
     Table, BENCH_PIPELINE_PATH, SEED,
 };
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{replay_spans, AlarmReplayer, ReplayConfig, Replayer, VIRTUAL_HZ};
+use rnr_replay::{checkpoint_groups, replay_spans, AlarmReplayer, ReplayConfig, Replayer, VIRTUAL_HZ};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::WorkloadParams;
 
@@ -31,8 +31,13 @@ struct PhaseTimes {
     workload: String,
     record_ms: f64,
     cr_ms: f64,
+    /// The AR phase as the pipeline runs it: one pass per checkpoint group.
     ar_ms: f64,
+    /// The same cases replayed one `AlarmReplayer::resolve` each, for
+    /// comparison with `ar_ms`.
+    ar_per_case_ms: f64,
     alarms_escalated: usize,
+    checkpoint_groups: usize,
 }
 
 /// The attack pipeline, baseline vs optimized.
@@ -156,22 +161,33 @@ fn phase_times(workload: rnr_workloads::Workload, insns: u64) -> PhaseTimes {
 
     // An idle AR phase is exactly 0: timing the no-op loop would report
     // pool-spinup noise (~1e-4 ms) for workloads that never escalate.
-    let ar_ms = if cr_out.alarm_cases.is_empty() {
-        0.0
+    let cases = &cr_out.alarm_cases;
+    let groups = checkpoint_groups(cases);
+    let (ar_ms, ar_per_case_ms) = if cases.is_empty() {
+        (0.0, 0.0)
     } else {
         let ar = AlarmReplayer::new(&spec, Arc::clone(&rec.log)).with_config(cfg);
         let t = Instant::now();
-        for case in &cr_out.alarm_cases {
+        for group in &groups {
+            for resolved in ar.resolve_group(&cases[group.clone()]) {
+                resolved.expect("AR resolves the case");
+            }
+        }
+        let grouped = ms(t);
+        let t = Instant::now();
+        for case in cases {
             ar.resolve(case).expect("AR resolves the case");
         }
-        ms(t)
+        (grouped, ms(t))
     };
     PhaseTimes {
         workload: workload.label().to_string(),
         record_ms,
         cr_ms,
         ar_ms,
-        alarms_escalated: cr_out.alarm_cases.len(),
+        ar_per_case_ms,
+        alarms_escalated: cases.len(),
+        checkpoint_groups: groups.len(),
     }
 }
 
@@ -454,14 +470,17 @@ fn main() {
     let insns = run_insns();
     let phases: Vec<PhaseTimes> = rnr_bench::workloads().into_iter().map(|w| phase_times(w, insns)).collect();
 
-    let mut t = Table::new(&["workload", "record ms", "CR ms", "AR ms", "escalated"]);
+    let mut t =
+        Table::new(&["workload", "record ms", "CR ms", "AR ms", "AR per-case ms", "escalated", "groups"]);
     for p in &phases {
         t.row(vec![
             p.workload.clone(),
             format!("{:.1}", p.record_ms),
             format!("{:.1}", p.cr_ms),
             format!("{:.1}", p.ar_ms),
+            format!("{:.1}", p.ar_per_case_ms),
             p.alarms_escalated.to_string(),
+            p.checkpoint_groups.to_string(),
         ]);
     }
     emit("Pipeline phase wall-clock (optimized)", &t);

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{AlarmReplayer, ReplayConfig, Replayer, Verdict, VIRTUAL_HZ};
+use rnr_replay::{checkpoint_groups, AlarmReplayer, ReplayConfig, Replayer, Verdict, VIRTUAL_HZ};
 use rnr_safe::Session;
 use rnr_workloads::{Workload, WorkloadParams};
 
@@ -166,10 +166,12 @@ fn cmd_replay(args: &[String], resolve: bool) -> CliResult {
     }
 
     let ar = AlarmReplayer::new(&spec, log).with_config(cfg);
+    let cases = &out.alarm_cases;
     let mut verdicts = Vec::new();
-    for case in &out.alarm_cases {
-        let (verdict, _) = ar.resolve(case)?;
-        verdicts.push((case.at_insn(), verdict));
+    for group in checkpoint_groups(cases) {
+        for (case, resolved) in cases[group.clone()].iter().zip(ar.resolve_group(&cases[group])) {
+            verdicts.push((case.at_insn(), resolved?.verdict));
+        }
     }
     let json = has_flag(args, "--json");
     for (at_insn, verdict) in &verdicts {

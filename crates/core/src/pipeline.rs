@@ -1,6 +1,7 @@
 //! The full RnR-Safe pipeline: record → checkpointing replay → alarm replay.
 
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -12,8 +13,8 @@ use rnr_log::{
 use rnr_machine::{BlockStats, CostModel, SharedPageCache};
 use rnr_ras::RasConfig;
 use rnr_replay::{
-    replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer, Verdict,
-    VIRTUAL_HZ,
+    checkpoint_groups, replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome,
+    Replayer, ResolvedCase, Verdict, VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -237,11 +238,8 @@ pub struct AlarmResolution {
     pub summary: VerdictSummary,
     /// The full verdict (reports, gadget chains).
     pub verdict: Verdict,
-    /// Alarm-replay cycles spent resolving it.
+    /// Alarm-replay cycles from the case's checkpoint to its alarm record.
     pub ar_cycles: u64,
-    /// Block-cache counters of the resolving alarm replayer (wall-clock
-    /// diagnostics only).
-    pub ar_block_stats: rnr_machine::BlockStats,
 }
 
 /// The §8.4 detection-window analysis for the first confirmed attack.
@@ -411,12 +409,12 @@ impl Pipeline {
         // Phases 1 + 2: monitored recording and checkpointing replay, run
         // concurrently (the CR consumes the log as a live stream).
         let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, replay_cfg.clone(), &shared)?;
-        // Phase 3: alarm replay for every escalated case — on a bounded,
-        // supervised worker pool when configured ("multiple ARs… in
-        // parallel", §6). Each case is resolved under `catch_unwind` with
-        // bounded retries; a killed worker's abandoned cases are
-        // re-resolved inline. Resolution order (and therefore the report)
-        // stays deterministic.
+        // Phase 3: alarm replay for every escalated case, one pass per
+        // checkpoint group — on a bounded, supervised worker pool when
+        // configured ("multiple ARs… in parallel", §6). Each pass runs under
+        // `catch_unwind`, and a failing case gets bounded retries; a killed
+        // worker's abandoned groups are re-resolved inline. Resolution order
+        // (and therefore the report) stays deterministic.
         let resolver = CaseResolver::new(
             &self.spec,
             Arc::clone(&rec.log),
@@ -425,64 +423,66 @@ impl Pipeline {
             &cfg.fault_plan,
         );
         let cases = &cr_out.alarm_cases;
-        let workers = ar_worker_count(cfg, cases.len());
+        let groups = checkpoint_groups(cases);
+        let workers = ar_worker_count(cfg, groups.len());
         let kill_at = cfg.fault_plan.kill_ar_worker_at_case;
-        let (slots, workers_lost): (Vec<Option<Result<AlarmResolution, FailedCase>>>, u64) = if workers > 1 {
+        let (slots, workers_lost): (Vec<Option<GroupResults>>, u64) = if workers > 1 {
             let next = AtomicUsize::new(0);
             let killed = AtomicBool::new(false);
             let (tx, rx) = std::sync::mpsc::channel();
             let slots = std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();
-                    let next = &next;
-                    let killed = &killed;
-                    let resolver = &resolver;
+                    let (next, killed, resolver, groups) = (&next, &killed, &resolver, &groups);
                     scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(case) = cases.get(i) else { break };
-                        // The fault plan may kill one worker as it picks
-                        // up this case: it abandons the case unresolved
-                        // and exits; the supervisor fills the hole below.
-                        if kill_at == Some(i) && !killed.swap(true, Ordering::Relaxed) {
+                        let g = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(group) = groups.get(g) else { break };
+                        // The fault plan may kill one worker as it picks up
+                        // the group holding this case: it abandons the whole
+                        // group unresolved and exits; the supervisor fills
+                        // the hole below.
+                        if kill_at.is_some_and(|k| group.contains(&k))
+                            && !killed.swap(true, Ordering::Relaxed)
+                        {
                             break;
                         }
-                        if tx.send((i, resolver.resolve(i, case))).is_err() {
+                        if tx.send((g, resolver.resolve_group(cases, group))).is_err() {
                             break;
                         }
                     });
                 }
                 drop(tx);
-                let mut slots: Vec<Option<_>> = (0..cases.len()).map(|_| None).collect();
-                for (i, result) in rx {
-                    slots[i] = Some(result);
+                let mut slots: Vec<Option<_>> = groups.iter().map(|_| None).collect();
+                for (g, results) in rx {
+                    slots[g] = Some(results);
                 }
                 slots
             });
             (slots, u64::from(killed.into_inner()))
         } else {
             // Inline resolution: the "pool" of one is the supervisor
-            // itself, so a kill spec is recorded and the case resolved
-            // immediately anyway.
-            let resolved =
-                cases.iter().enumerate().map(|(i, case)| Some(resolver.resolve(i, case))).collect();
-            (resolved, u64::from(kill_at.is_some_and(|k| k < cases.len())))
+            // itself, so a kill spec is recorded and every group resolved
+            // below anyway.
+            (groups.iter().map(|_| None).collect(), u64::from(kill_at.is_some_and(|k| k < cases.len())))
         };
-        // Cases abandoned by a killed worker are re-resolved inline — the
-        // report never silently drops a verdict.
+        // Groups abandoned by a killed worker are re-resolved inline — the
+        // report never silently drops a verdict. Each pass's block counters
+        // are merged once.
+        let mut block_stats = rec.block_stats;
+        block_stats.merge(&cr_block_stats);
         let mut resolutions = Vec::with_capacity(cases.len());
         let mut failed_cases = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.unwrap_or_else(|| resolver.resolve(i, &cases[i])) {
-                Ok(resolution) => resolutions.push(resolution),
-                Err(failed) => failed_cases.push(failed),
+        for (slot, group) in slots.into_iter().zip(&groups) {
+            let (results, stats) = slot.unwrap_or_else(|| resolver.resolve_group(cases, group));
+            block_stats.merge(&stats);
+            for result in results {
+                match result {
+                    Ok(resolution) => resolutions.push(resolution),
+                    Err(failed) => failed_cases.push(failed),
+                }
             }
         }
         let detection = detection_window(cfg, &rec, &resolutions);
-        let mut block_stats = rec.block_stats;
-        block_stats.merge(&cr_block_stats);
-        for r in &resolutions {
-            block_stats.merge(&r.ar_block_stats);
-        }
         let recovery = RecoveryReport {
             cr_rewinds: cr_out.recovery.rewinds,
             cr_rewound_insns: cr_out.recovery.rewound_insns,
@@ -645,12 +645,24 @@ fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
     }
 }
 
-/// The supervised per-case alarm resolver of [`Pipeline::run`]: one
-/// [`AlarmReplayer`] over the finished recording, a bounded retry loop per
-/// case under `catch_unwind`, and the fault plan's AR injections (panic,
-/// transient divergence) fired on first attempts only. Thread-safe: any
-/// number of workers may call [`CaseResolver::resolve`] concurrently;
-/// retry/panic accounting is atomic.
+/// Per-case outcomes of one checkpoint group, in case order, plus the block
+/// counters of every pass that resolved them.
+type GroupResults = (Vec<Result<AlarmResolution, FailedCase>>, BlockStats);
+
+/// The supervised alarm resolver of [`Pipeline::run`]: one
+/// [`AlarmReplayer`] over the finished recording, one pass per checkpoint
+/// group under `catch_unwind`, a bounded retry loop for a case that fails,
+/// and the fault plan's AR injections (panic, transient divergence) fired
+/// on first attempts only. Thread-safe: any number of workers may call
+/// [`CaseResolver::resolve_group`] concurrently; retry/panic accounting is
+/// atomic.
+///
+/// A pass resolves its cases in order; an injection fires when the pass
+/// reaches its case. When case *j* fails — by injection, AR error or a
+/// panic — the verdicts before *j* stand, *j* continues in the per-case
+/// retry loop as its attempt 1, and the cases after *j* run as a fresh pass
+/// from the same checkpoint. Retry and panic counts are therefore those of
+/// resolving every case on its own.
 struct CaseResolver<'a> {
     ar: AlarmReplayer<'a>,
     panic_case: Option<usize>,
@@ -678,39 +690,75 @@ impl<'a> CaseResolver<'a> {
         }
     }
 
-    fn resolve_once(&self, i: usize, case: &AlarmCase, attempt: u32) -> Result<AlarmResolution, String> {
-        // Injections fire on the first attempt only: a retry of the
-        // same case models the transient fault having cleared.
-        if attempt == 0 && self.panic_case == Some(i) {
-            panic!("injected alarm-replayer panic (fault plan)");
+    /// Resolves the checkpoint group `group` of the escalated `cases`. A
+    /// case that stays unresolved after its retries ships as a
+    /// [`FailedCase`] instead of discarding the rest of the report.
+    fn resolve_group(&self, cases: &[AlarmCase], group: &Range<usize>) -> GroupResults {
+        let (first, cases) = (group.start, &cases[group.clone()]);
+        let mut results = Vec::with_capacity(cases.len());
+        let mut stats = BlockStats::default();
+        while results.len() < cases.len() {
+            if let Err(error) = self.pass(first, cases, &mut results, &mut stats) {
+                let j = results.len();
+                results.push(self.retry(first + j, &cases[j], error, &mut stats));
+            }
         }
-        if attempt == 0 && self.divergence_case == Some(i) {
-            return Err("injected transient alarm-replay divergence (fault plan)".to_string());
-        }
-        let (verdict, ar_out) = self.ar.resolve(case).map_err(|e| e.to_string())?;
-        Ok(AlarmResolution {
-            at_insn: case.at_insn(),
-            at_cycle: case.at_cycle(),
-            cr_cycle: case.cr_cycle,
-            summary: summarize(&verdict),
-            verdict,
-            ar_cycles: ar_out.cycles,
-            ar_block_stats: ar_out.vm().block_stats(),
+        (results, stats)
+    }
+
+    /// One pass from the group's checkpoint over the cases not yet in
+    /// `results`, appending each resolution as the pass reaches it. Stops
+    /// with the error of the first case that fails; its index in `cases` is
+    /// then `results.len()`.
+    fn pass(
+        &self,
+        first: usize,
+        cases: &[AlarmCase],
+        results: &mut Vec<Result<AlarmResolution, FailedCase>>,
+        stats: &mut BlockStats,
+    ) -> Result<(), String> {
+        let rest = &cases[results.len()..];
+        let mut pass = self.ar.resolve_group(rest);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for case in rest {
+                // Injections fire on a case's first attempt only: a retry
+                // models the transient fault having cleared.
+                let i = first + results.len();
+                if self.panic_case == Some(i) {
+                    panic!("injected alarm-replayer panic (fault plan)");
+                }
+                if self.divergence_case == Some(i) {
+                    return Err("injected transient alarm-replay divergence (fault plan)".to_string());
+                }
+                let resolved = pass.next().expect("a pass yields one result per case");
+                results.push(Ok(resolution(case, resolved.map_err(|e| e.to_string())?)));
+            }
+            Ok(())
+        }));
+        stats.merge(&pass.block_stats());
+        outcome.unwrap_or_else(|payload| {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+            Err(format!("panic: {}", panic_text(payload.as_ref())))
         })
     }
 
-    /// Resolves case `i` with bounded retries; a case that stays
-    /// unresolved ships as a [`FailedCase`] instead of discarding the rest
-    /// of the report.
-    fn resolve(&self, i: usize, case: &AlarmCase) -> Result<AlarmResolution, FailedCase> {
-        let mut last_error = String::new();
-        for attempt in 0..MAX_CASE_ATTEMPTS {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            match catch_unwind(AssertUnwindSafe(|| self.resolve_once(i, case, attempt))) {
-                Ok(Ok(resolution)) => return Ok(resolution),
-                Ok(Err(msg)) => last_error = msg,
+    /// The bounded retry loop for case `i` after its first attempt failed
+    /// with `last_error`: each retry replays the case alone.
+    fn retry(
+        &self,
+        i: usize,
+        case: &AlarmCase,
+        mut last_error: String,
+        stats: &mut BlockStats,
+    ) -> Result<AlarmResolution, FailedCase> {
+        for _ in 1..MAX_CASE_ATTEMPTS {
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            match catch_unwind(AssertUnwindSafe(|| self.ar.resolve(case))) {
+                Ok(Ok((verdict, out))) => {
+                    stats.merge(&out.vm().block_stats());
+                    return Ok(resolution(case, ResolvedCase { verdict, ar_cycles: out.cycles }));
+                }
+                Ok(Err(e)) => last_error = e.to_string(),
                 Err(payload) => {
                     self.panics.fetch_add(1, Ordering::Relaxed);
                     last_error = format!("panic: {}", panic_text(payload.as_ref()));
@@ -726,6 +774,18 @@ impl<'a> CaseResolver<'a> {
     }
 }
 
+/// The report entry of a resolved case.
+fn resolution(case: &AlarmCase, resolved: ResolvedCase) -> AlarmResolution {
+    AlarmResolution {
+        at_insn: case.at_insn(),
+        at_cycle: case.at_cycle(),
+        cr_cycle: case.cr_cycle,
+        summary: summarize(&resolved.verdict),
+        verdict: resolved.verdict,
+        ar_cycles: resolved.ar_cycles,
+    }
+}
+
 /// Seed-capture cadence for parallel replay: aim for ~4 spans per worker so
 /// the span pipeline stays busy, floored so tiny runs don't drown in
 /// restore overhead. The cadence shapes wall-clock only — seed capture is
@@ -736,14 +796,15 @@ fn span_seed_cadence(cfg: &PipelineConfig) -> u64 {
 }
 
 /// Pool size for the alarm-replay phase: the configured size (0 = the
-/// host's available parallelism), never more than there are cases.
-fn ar_worker_count(cfg: &PipelineConfig, cases: usize) -> usize {
+/// host's available parallelism), never more than there are checkpoint
+/// groups to resolve.
+fn ar_worker_count(cfg: &PipelineConfig, groups: usize) -> usize {
     let configured = if cfg.ar_workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         cfg.ar_workers
     };
-    configured.min(cases).max(1)
+    configured.min(groups).max(1)
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -224,6 +224,19 @@ pub fn fault_scenarios(seed: u64) -> Vec<(&'static str, FaultPlan)> {
             FaultPlan { seed, block_divergence_at_insn: Some(180_000), ..FaultPlan::default() },
         ),
         ("ar-worker-killed", FaultPlan { seed, kill_ar_worker_at_case: Some(0), ..FaultPlan::default() }),
+        // The attack's cases share one checkpoint, so these fail a case
+        // inside an alarm-replay pass rather than at its head: the cases
+        // before it keep their verdicts, and the cases after it run as a
+        // fresh pass.
+        ("ar-worker-panic-mid-group", FaultPlan { seed, ar_panic_case: Some(2), ..FaultPlan::default() }),
+        (
+            "ar-transient-divergence-mid-group",
+            FaultPlan { seed, ar_divergence_case: Some(1), ..FaultPlan::default() },
+        ),
+        (
+            "ar-worker-killed-mid-group",
+            FaultPlan { seed, kill_ar_worker_at_case: Some(2), ..FaultPlan::default() },
+        ),
     ]
 }
 

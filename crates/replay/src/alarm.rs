@@ -2,18 +2,19 @@
 //! characterized ROP attack (§4.6.2, §6), or — for the VRT detector family
 //! (DESIGN.md §15) — a characterized memory-safety violation.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rnr_guest::layout;
 use rnr_hypervisor::{Introspector, VmSpec};
 use rnr_isa::{disasm, Addr, Opcode};
 use rnr_log::{AlarmInfo, InputLog, VrtAlarmInfo};
-use rnr_machine::CallRetTrap;
+use rnr_machine::{BlockStats, CallRetTrap, GuestVm};
 use rnr_ras::ThreadId;
 use rnr_vrt::{coverage, VrtKind};
 
-use crate::engine::ShadowEventKind;
-use crate::{AlarmCase, CaseKind, ReplayConfig, ReplayError, ReplayOutcome, Replayer};
+use crate::engine::{ShadowEvent, ShadowEventKind};
+use crate::{AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, ReplayOutcome, Replayer};
 
 /// Why an alarm was *not* an attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,15 +179,86 @@ impl Verdict {
     }
 }
 
+/// One resolved alarm case of an alarm-replay pass.
+#[derive(Debug, Clone)]
+pub struct ResolvedCase {
+    /// The classification.
+    pub verdict: Verdict,
+    /// Alarm-replay cycles from the pass's checkpoint to this case's alarm
+    /// record — the AR's share of the §8.4 detection window.
+    pub ar_cycles: u64,
+}
+
+/// Splits escalated cases into the runs that share a checkpoint, as index
+/// ranges. Cases arrive in log order, so the runs are contiguous; each run
+/// is one [`AlarmReplayer::resolve_group`] pass.
+pub fn checkpoint_groups(cases: &[AlarmCase]) -> Vec<Range<usize>> {
+    let mut start = 0;
+    cases
+        .chunk_by(|a, b| a.checkpoint.id == b.checkpoint.id)
+        .map(|group| {
+            let range = start..start + group.len();
+            start = range.end;
+            range
+        })
+        .collect()
+}
+
 /// The alarm replayer (§4.6.2): replays from the checkpoint preceding an
 /// alarm, trapping every call and return to model an unbounded multithreaded
 /// software RAS, and classifies the alarm.
+///
+/// Every case that shares a checkpoint resolves in one pass
+/// ([`AlarmReplayer::resolve_group`]): the checkpoint is restored once and
+/// the replayer stops at each case's alarm record in log order. A per-case
+/// replay of case *k* replays through every earlier alarm of its interval
+/// anyway, so each verdict and `ar_cycles` is the value a lone replay of
+/// that case computes ([`AlarmReplayer::resolve`]), computed once. Cases of
+/// different checkpoints never share a pass: a shadow RAS seeded from an
+/// earlier checkpoint's BackRAS carries more history and could change a
+/// verdict.
 #[derive(Debug)]
 pub struct AlarmReplayer<'a> {
     spec: &'a VmSpec,
     log: Arc<InputLog>,
     config: ReplayConfig,
     shared_cache: Option<Arc<rnr_machine::SharedPageCache>>,
+}
+
+/// One alarm-replay pass over the cases of one checkpoint, yielding one
+/// result per case in order ([`AlarmReplayer::resolve_group`]). The
+/// checkpoint is restored when the first result is pulled. After an error
+/// the pass yields nothing more: the failing case's index is the number of
+/// results yielded before it.
+#[derive(Debug)]
+pub struct AlarmPass<'r, 'a> {
+    ar: &'r AlarmReplayer<'a>,
+    cases: std::slice::Iter<'r, AlarmCase>,
+    replayer: Option<Replayer>,
+    failed: bool,
+}
+
+impl AlarmPass<'_, '_> {
+    /// Decoded-block counters of the pass's replayer (wall-clock
+    /// diagnostics; zero before the first result).
+    pub fn block_stats(&self) -> BlockStats {
+        self.replayer.as_ref().map(Replayer::block_stats).unwrap_or_default()
+    }
+}
+
+impl Iterator for AlarmPass<'_, '_> {
+    type Item = Result<ResolvedCase, ReplayError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let case = self.cases.next()?;
+        let replayer = self.replayer.get_or_insert_with(|| self.ar.restore(&case.checkpoint));
+        let result = self.ar.resolve_next(replayer, case);
+        self.failed = result.is_err();
+        Some(result)
+    }
 }
 
 impl<'a> AlarmReplayer<'a> {
@@ -228,29 +300,64 @@ impl<'a> AlarmReplayer<'a> {
     /// Resolves one alarm case: replays from its checkpoint to the alarm
     /// marker and classifies the violation — a RAS misprediction through the
     /// software shadow RAS, a VRT memory-safety alarm against the guest's
-    /// precise allocation state.
+    /// precise allocation state. The one-case form of
+    /// [`AlarmReplayer::resolve_group`], returning the finished replay too.
     ///
     /// # Errors
     ///
     /// Propagates replay divergence/fault errors.
     pub fn resolve(&self, case: &AlarmCase) -> Result<(Verdict, ReplayOutcome), ReplayError> {
+        let mut replayer = self.restore(&case.checkpoint);
+        let resolved = self.resolve_next(&mut replayer, case)?;
+        Ok((resolved.verdict, replayer.finish()))
+    }
+
+    /// Resolves every case of one checkpoint group (see
+    /// [`checkpoint_groups`]) in a single pass: one restore, then a stop at
+    /// each case's alarm record in log order. Each result equals what
+    /// [`AlarmReplayer::resolve`] computes for that case alone.
+    ///
+    /// The pass is lazy and stops at the first error; see [`AlarmPass`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cases do not share one checkpoint or are not in log
+    /// order: a pass only replays forward from a single restore.
+    pub fn resolve_group<'r>(&'r self, cases: &'r [AlarmCase]) -> AlarmPass<'r, 'a> {
+        assert!(
+            cases
+                .windows(2)
+                .all(|w| w[0].checkpoint.id == w[1].checkpoint.id && w[0].alarm_index < w[1].alarm_index),
+            "an alarm-replay pass resolves the cases of one checkpoint, in log order"
+        );
+        AlarmPass { ar: self, cases: cases.iter(), replayer: None, failed: false }
+    }
+
+    /// A shadow-RAS replayer restored from `checkpoint`.
+    fn restore(&self, checkpoint: &Checkpoint) -> Replayer {
         let mut replayer = Replayer::from_checkpoint(
             self.spec,
             Arc::clone(&self.log),
             self.config.clone(),
-            &case.checkpoint,
+            checkpoint,
             true,
         );
         if let Some(shared) = &self.shared_cache {
             replayer.attach_shared_cache(Arc::clone(shared));
         }
-        replayer.stop_after_record(case.alarm_index);
-        let outcome = replayer.run()?;
+        replayer
+    }
+
+    /// Drives `replayer` through `case`'s alarm record and classifies the
+    /// alarm against the VM as it stands there.
+    fn resolve_next(&self, replayer: &mut Replayer, case: &AlarmCase) -> Result<ResolvedCase, ReplayError> {
+        replayer.run_to_record(case.alarm_index)?;
+        let vm = replayer.vm();
         let verdict = match &case.kind {
-            CaseKind::Ras(info) => self.classify(info, &outcome),
-            CaseKind::Vrt(info) => self.classify_vrt(info, &outcome),
+            CaseKind::Ras(info) => self.classify(info, vm, replayer.shadow_events()),
+            CaseKind::Vrt(info) => self.classify_vrt(info, vm),
         };
-        Ok((verdict, outcome))
+        Ok(ResolvedCase { verdict, ar_cycles: replayer.elapsed_cycles() })
     }
 
     /// Classifies a VRT memory-safety alarm by pure geometry against the
@@ -260,9 +367,8 @@ impl<'a> AlarmReplayer<'a> {
     /// ended. The hardware's noisy rules (capacity eviction, coarse granule
     /// rounding, stale frame windows) are each refuted — or confirmed — from
     /// that precise state.
-    fn classify_vrt(&self, alarm: &VrtAlarmInfo, outcome: &ReplayOutcome) -> Verdict {
+    fn classify_vrt(&self, alarm: &VrtAlarmInfo, vm: &GuestVm) -> Verdict {
         let params = self.config.vrt.clone().unwrap_or_default();
-        let vm = &outcome.vm;
         let addr = alarm.addr;
         match alarm.kind {
             VrtKind::Heap => {
@@ -295,14 +401,14 @@ impl<'a> AlarmReplayer<'a> {
                     };
                     return Verdict::FalsePositive(fp);
                 }
-                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, outcome, nearest)))
+                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, vm, nearest)))
             }
             VrtKind::Stack => {
                 let sp = vm.cpu().sp();
                 if addr < sp {
                     // Below the live stack at the alarm point: the store
                     // went through a pointer into a dead frame.
-                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, outcome, None)))
+                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, vm, None)))
                 } else {
                     Verdict::FalsePositive(FalsePositiveKind::StaleFrame)
                 }
@@ -310,13 +416,7 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn build_mem_report(
-        &self,
-        alarm: &VrtAlarmInfo,
-        outcome: &ReplayOutcome,
-        region: Option<(Addr, u64)>,
-    ) -> MemReport {
-        let vm = &outcome.vm;
+    fn build_mem_report(&self, alarm: &VrtAlarmInfo, vm: &GuestVm, region: Option<(Addr, u64)>) -> MemReport {
         let intro = Introspector::new(&self.spec.kernel);
         MemReport {
             tid: alarm.tid,
@@ -331,9 +431,8 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn classify(&self, alarm: &AlarmInfo, outcome: &ReplayOutcome) -> Verdict {
-        let event = outcome
-            .shadow_events
+    fn classify(&self, alarm: &AlarmInfo, vm: &GuestVm, shadow_events: &[ShadowEvent]) -> Verdict {
+        let event = shadow_events
             .iter()
             .rev()
             .find(|e| e.at_insn == alarm.at_insn && e.ret_pc == alarm.mispredict.ret_pc);
@@ -348,16 +447,15 @@ impl<'a> AlarmReplayer<'a> {
                 Verdict::FalsePositive(FalsePositiveKind::ImperfectNesting { unwound_frames: frames })
             }
             Some(ShadowEventKind::UnderflowUnexplained) | Some(ShadowEventKind::WhitelistViolation) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, outcome, None)))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, None)))
             }
             Some(ShadowEventKind::MismatchUnexplained { predicted }) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, outcome, Some(predicted))))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, Some(predicted))))
             }
         }
     }
 
-    fn build_report(&self, alarm: &AlarmInfo, outcome: &ReplayOutcome, predicted: Option<Addr>) -> RopReport {
-        let vm = &outcome.vm;
+    fn build_report(&self, alarm: &AlarmInfo, vm: &GuestVm, predicted: Option<Addr>) -> RopReport {
         let intro = Introspector::new(&self.spec.kernel);
         let image = self.spec.kernel.image();
         let sp = vm.cpu().sp();

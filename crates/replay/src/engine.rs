@@ -366,8 +366,6 @@ pub struct ReplayOutcome {
     pub console: Vec<u8>,
     /// What fault recovery did during this run (all zeros when clean).
     pub recovery: ReplayRecovery,
-    /// Shadow-RAS anomalies (alarm replay only).
-    pub(crate) shadow_events: Vec<ShadowEvent>,
     /// PC-sample histogram (`pc -> samples`), when profiling was enabled.
     pub profile: std::collections::HashMap<Addr, u64>,
     /// The VM at the stop point (alarm forensics reads its memory).
@@ -637,9 +635,24 @@ impl Replayer {
             // a base to replay from.
             self.take_checkpoint();
         }
+        self.drive_healed()?;
+        Ok(self.finish())
+    }
+
+    /// Runs until the record at `index` has been consumed, healing faults
+    /// as [`Replayer::run`] does, without finishing — the alarm replayer's
+    /// stop point, called once per case of a pass with ascending indices.
+    pub(crate) fn run_to_record(&mut self, index: usize) -> Result<(), ReplayError> {
+        self.stop_after_record = Some(index);
+        self.drive_healed()
+    }
+
+    /// [`Replayer::drive`] under the recovery decision of
+    /// [`Replayer::try_recover`].
+    fn drive_healed(&mut self) -> Result<(), ReplayError> {
         loop {
             match self.drive() {
-                Ok(()) => return Ok(self.finish()),
+                Ok(()) => return Ok(()),
                 Err(e) => self.try_recover(e)?,
             }
         }
@@ -839,14 +852,30 @@ impl Replayer {
         self.drive()
     }
 
-    /// The combined VM + disk digest at the current state (same combination
-    /// as [`ReplayOutcome::final_digest`]).
     /// Decoded-block statistics of this replayer's VM (wall-clock
-    /// diagnostics for the parallel orchestrator).
+    /// diagnostics for the parallel orchestrator and alarm passes).
     pub(crate) fn block_stats(&self) -> rnr_machine::BlockStats {
         self.vm.block_stats()
     }
 
+    /// The VM as it stands at the current stop point.
+    pub(crate) fn vm(&self) -> &GuestVm {
+        &self.vm
+    }
+
+    /// Shadow-RAS anomalies observed so far (alarm replay only).
+    pub(crate) fn shadow_events(&self) -> &[ShadowEvent] {
+        &self.shadow_events
+    }
+
+    /// Virtual cycles spent since the engine's start point (the value
+    /// [`ReplayOutcome::cycles`] reports when the run finishes here).
+    pub(crate) fn elapsed_cycles(&self) -> u64 {
+        self.vm.cycles() - self.start_cycles
+    }
+
+    /// The combined VM + disk digest at the current state (same combination
+    /// as [`ReplayOutcome::final_digest`]).
     pub(crate) fn current_digest(&self) -> Digest {
         let mut h = Fnv1a::new();
         h.update_u64(self.vm.digest().0);
@@ -926,7 +955,7 @@ impl Replayer {
         });
     }
 
-    fn finish(mut self) -> ReplayOutcome {
+    pub(crate) fn finish(mut self) -> ReplayOutcome {
         let final_digest = {
             let mut h = Fnv1a::new();
             h.update_u64(self.vm.digest().0);
@@ -936,7 +965,7 @@ impl Replayer {
         let mut recovery = std::mem::take(&mut self.recovery);
         recovery.transport = self.source.transport_stats();
         ReplayOutcome {
-            cycles: self.vm.cycles() - self.start_cycles,
+            cycles: self.elapsed_cycles(),
             retired: self.vm.retired(),
             final_digest,
             verified: self.expected_digest.map(|d| d == final_digest),
@@ -950,7 +979,6 @@ impl Replayer {
             callret_traps: self.callret_traps,
             console: std::mem::take(&mut self.console),
             recovery,
-            shadow_events: std::mem::take(&mut self.shadow_events),
             profile: std::mem::take(&mut self.profile),
             vm: self.vm,
         }

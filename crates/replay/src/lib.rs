@@ -35,7 +35,9 @@
 //!   VRT memory-safety cases (DESIGN.md §15) it replays to the alarm point
 //!   and classifies the store against the guest's *precise* allocation
 //!   state, producing [`Verdict::HeapOverflow`], [`Verdict::UseAfterReturn`],
-//!   or a named false positive for each noisy hardware rule.
+//!   or a named false positive for each noisy hardware rule. Cases that
+//!   share a checkpoint resolve in one pass
+//!   ([`AlarmReplayer::resolve_group`], grouped by [`checkpoint_groups`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,8 +47,11 @@ mod checkpoint;
 mod engine;
 mod parallel;
 
+pub use alarm::{
+    checkpoint_groups, AlarmPass, AlarmReplayer, FalsePositiveKind, GadgetUse, MemReport, ResolvedCase,
+    RopReport, Verdict,
+};
 pub use alarm::{resolve_jop, JopVerdict};
-pub use alarm::{AlarmReplayer, FalsePositiveKind, GadgetUse, MemReport, RopReport, Verdict};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,

@@ -272,7 +272,6 @@ fn assemble_spans(
         callret_traps,
         console,
         recovery,
-        shadow_events: Vec::new(),
         profile: HashMap::new(),
         vm: last.run.outcome.vm,
     };

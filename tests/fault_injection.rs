@@ -207,6 +207,66 @@ fn vrt_armed_heap_attack_heals_to_an_identical_report() {
     }
 }
 
+/// Mid-group AR faults on the pooled path. On longjmp storms with the VRT
+/// armed (many checkpoint groups) and two AR workers, a worker killed as it
+/// picks up a later multi-case group abandons that whole group, and a panic
+/// injected at a case inside it fails only that case: both heal to the
+/// clean report, with exactly the accounting of resolving the case alone.
+#[test]
+fn mid_group_ar_faults_heal_on_the_pooled_path() {
+    use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
+    use rnr_replay::{checkpoint_groups, ReplayConfig, Replayer, VIRTUAL_HZ};
+    use rnr_vrt::VrtParams;
+
+    const INSNS: u64 = 1_500_000;
+    let spec = Workload::Longjmp.spec(false);
+    let run = |plan| {
+        let cfg = PipelineConfig {
+            seed: SEED,
+            duration_insns: INSNS,
+            checkpoint_interval_secs: Some(0.05),
+            vrt: Some(VrtParams::default()),
+            ar_workers: 2,
+            fault_plan: plan,
+            ..PipelineConfig::default()
+        };
+        Pipeline::new(spec.clone(), cfg).run()
+    };
+    // The pipeline's escalated cases, from a CR over the same recording.
+    let mut rc = RecordConfig::new(RecordMode::Rec, SEED, INSNS);
+    rc.vrt = Some(VrtParams::default());
+    let rec = Recorder::new(&spec, rc).expect("recorder").run();
+    let cr_cfg = ReplayConfig {
+        checkpoint_interval: Some(VIRTUAL_HZ / 20),
+        vrt: Some(VrtParams::default()),
+        ..ReplayConfig::default()
+    };
+    let cases = Replayer::new(&spec, rec.log, cr_cfg).run().expect("CR replays").alarm_cases;
+    let groups = checkpoint_groups(&cases);
+    assert!(groups.len() >= 3, "the workload must spread its cases over many checkpoints");
+    let group = groups.iter().skip(1).rev().find(|g| g.len() >= 3).expect("a later group of several cases");
+    let case = group.start + 1;
+
+    let reference = run(FaultPlan::default()).expect("clean run");
+    let at_insns: Vec<u64> = cases.iter().map(|c| c.at_insn()).collect();
+    assert_eq!(reference.resolutions.iter().map(|r| r.at_insn).collect::<Vec<_>>(), at_insns);
+    assert!(!reference.recovery.any(), "clean run must not report recovery");
+
+    let killed = run(FaultPlan { seed: SEED, kill_ar_worker_at_case: Some(case), ..FaultPlan::default() })
+        .expect("killed-worker run heals");
+    let panicked = run(FaultPlan { seed: SEED, ar_panic_case: Some(case), ..FaultPlan::default() })
+        .expect("panic run heals");
+    for (name, report) in [("killed", &killed), ("panic", &panicked)] {
+        assert_eq!(report.to_json(), reference.to_json(), "{name}: healed report must be byte-identical");
+        assert!(report.recovery.failed_cases.is_empty(), "{name}: no alarm case may stay unresolved");
+    }
+    assert_eq!(killed.recovery.ar_workers_lost, 1);
+    assert_eq!((killed.recovery.ar_panics_caught, killed.recovery.ar_case_retries), (0, 0));
+    assert_eq!(panicked.recovery.ar_workers_lost, 0);
+    assert_eq!(panicked.recovery.ar_panics_caught, 1);
+    assert_eq!(panicked.recovery.ar_case_retries, 1);
+}
+
 #[test]
 fn poisoned_retained_store_fails_with_structured_error_not_panic() {
     let (name, plan) = unrecoverable_scenario(SEED);

@@ -11,7 +11,11 @@ use std::sync::Arc;
 use rnr_attacks::mount_kernel_rop;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
 use rnr_log::log_channel;
-use rnr_replay::{replay_spans, ReplayConfig, ReplayOutcome, Replayer, VIRTUAL_HZ};
+use rnr_ras::MispredictKind;
+use rnr_replay::{
+    checkpoint_groups, replay_spans, AlarmReplayer, CaseKind, ReplayConfig, ReplayOutcome, Replayer,
+    VIRTUAL_HZ,
+};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::{Workload, WorkloadParams};
 
@@ -94,6 +98,71 @@ fn complete_log_reference_matches_live_stream_and_span_replay() {
     assert_eq!(figures(&live), figures(&serial), "live stream vs complete log");
     assert_eq!(live.final_digest, rec.final_digest);
     assert_eq!(figures(&spans), figures(&serial), "2-worker span replay vs serial CR");
+}
+
+/// One alarm-replay pass per checkpoint resolves every case exactly as a
+/// lone replay of that case does: the full verdict (gadget chain, escaped
+/// region, thread) and the AR cycles feeding the §8.4 window. Covered for
+/// both detector families (longjmp storms with the VRT armed), the RAS
+/// family's target-mismatch cases on `make`, and the convicted kernel-ROP
+/// attack — each with at least one checkpoint shared by several cases, so
+/// later cases of a pass are classified after earlier ones.
+#[test]
+fn grouped_alarm_replay_matches_per_case_resolution() {
+    let rop = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap().0;
+    let runs = [
+        ("longjmp+vrt", Workload::Longjmp.spec(false), Some(rnr_vrt::VrtParams::default()), 600_000, 0.05),
+        ("make", Workload::Make.spec(false), None, 2_000_000, 0.05),
+        ("rop", rop, None, 900_000, 0.125),
+    ];
+    for (name, spec, vrt, insns, secs) in runs {
+        let mut rc = RecordConfig::new(RecordMode::Rec, 42, insns);
+        rc.vrt = vrt.clone();
+        let rec = Recorder::new(&spec, rc).unwrap().run();
+        assert!(rec.fault.is_none(), "{name}");
+        let cfg = ReplayConfig {
+            checkpoint_interval: Some((secs * VIRTUAL_HZ as f64) as u64),
+            vrt,
+            ..ReplayConfig::default()
+        };
+        let cases = Replayer::new(&spec, Arc::clone(&rec.log), cfg.clone()).run().unwrap().alarm_cases;
+        let groups = checkpoint_groups(&cases);
+        assert!(groups.iter().any(|g| g.len() >= 2), "{name}: no checkpoint is shared by two cases");
+        let mismatch = cases.iter().any(
+            |c| matches!(c.kind, CaseKind::Ras(info) if info.mispredict.kind == MispredictKind::TargetMismatch),
+        );
+        assert!(mismatch, "{name}: needs RAS mismatch cases");
+        if name == "longjmp+vrt" {
+            assert!(cases.iter().any(|c| matches!(c.kind, CaseKind::Vrt(_))), "{name}: needs VRT cases");
+        }
+
+        let ar = AlarmReplayer::new(&spec, Arc::clone(&rec.log)).with_config(cfg);
+        let grouped: Vec<_> = groups
+            .iter()
+            .flat_map(|g| ar.resolve_group(&cases[g.clone()]))
+            .map(|r| {
+                let r = r.unwrap();
+                (format!("{:?}", r.verdict), r.ar_cycles)
+            })
+            .collect();
+        let per_case: Vec<_> = cases
+            .iter()
+            .map(|c| {
+                let (verdict, out) = ar.resolve(c).unwrap();
+                (format!("{verdict:?}"), out.cycles)
+            })
+            .collect();
+        assert_eq!(grouped.len(), cases.len(), "{name}");
+        for (i, (g, p)) in grouped.iter().zip(&per_case).enumerate() {
+            assert_eq!(g, p, "{name}: case {i} differs between its group's pass and a lone replay");
+        }
+        if name == "rop" {
+            assert!(
+                grouped.iter().any(|(v, _)| v.starts_with("RopAttack")),
+                "{name}: the attack is convicted"
+            );
+        }
+    }
 }
 
 /// On the mounted kernel-ROP attack, every host-side strategy — a bigger
